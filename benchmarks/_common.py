@@ -1,10 +1,12 @@
 """Shared helpers for the benchmark suite.
 
 Each benchmark regenerates one table/figure of the paper at laptop scale,
-prints the reproduced rows, and persists them under
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can reference concrete
-numbers.  Experiment bodies run exactly once (``pedantic(rounds=1)``) —
-they are long-running experiments, not micro-benchmarks.
+prints the reproduced rows, and writes them to the untracked
+``benchmarks/out/<name>.txt``, so a test run never dirties the tree.  The
+committed reference copies live in ``benchmarks/results/``; refresh them
+with ``cp benchmarks/out/* benchmarks/results/`` after a quiet-machine run.
+Experiment bodies run exactly once (``pedantic(rounds=1)``) — they are
+long-running experiments, not micro-benchmarks.
 """
 
 from __future__ import annotations
@@ -14,13 +16,16 @@ from pathlib import Path
 
 from repro.experiments import format_rows
 
+#: where every run writes (gitignored); readers in the suite read it back
+OUT_DIR = Path(__file__).parent / "out"
+#: the committed reference copies; no test writes here
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Machine-readable perf trajectory seeded by the microbench gates.
 #: ``gates`` holds measured speedups (volatile across machines), while
 #: ``workload`` holds deterministic fingerprints of the evaluated tensors
 #: under the fixed seeds — the part reruns must reproduce bit for bit.
-BENCH_JSON = RESULTS_DIR / "BENCH_microbench.json"
+BENCH_JSON = OUT_DIR / "BENCH_microbench.json"
 BENCH_JSON_SCHEMA_VERSION = 1
 
 
@@ -44,7 +49,7 @@ def _load_bench_json() -> dict:
 
 
 def _write_bench_json(payload: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
+    OUT_DIR.mkdir(exist_ok=True)
     BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -109,12 +114,12 @@ def validate_bench_json(payload) -> list[str]:
 #: cost-model calibration summary (Q-Errors are wall-clock-derived and
 #: therefore volatile across machines, like the microbench speedups; the
 #: regression gates assert the ceilings, not exact values).
-BENCH_SCENARIOS_JSON = RESULTS_DIR / "BENCH_scenarios.json"
+BENCH_SCENARIOS_JSON = OUT_DIR / "BENCH_scenarios.json"
 
 
 def write_scenarios_json(payload: dict) -> None:
     """Persist the scenario-suite payload as ``BENCH_scenarios.json``."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    OUT_DIR.mkdir(exist_ok=True)
     BENCH_SCENARIOS_JSON.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
@@ -133,8 +138,8 @@ def report(name: str, title: str, rows, drop=()) -> None:
     slim = [{k: v for k, v in row.items() if k not in drop} for row in rows]
     text = format_rows(title, slim)
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text)
+    OUT_DIR.mkdir(exist_ok=True)
+    (OUT_DIR / f"{name}.txt").write_text(text)
 
 
 def once(benchmark, fn):

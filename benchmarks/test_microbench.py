@@ -527,299 +527,6 @@ def test_fused_fractions_speedup_over_per_layout(bundle):
     assert speedup >= 3.0
 
 
-ASYNC_REORG_PARTITIONS = 256
-ASYNC_STEP_PARTITIONS = 16
-ASYNC_PROBE_QUERIES = 32
-
-
-def test_async_reorg_latency_speedup_over_sync(bundle, tmp_path):
-    """Acceptance: query p50 latency during an in-flight reorganization
-    improves ≥3× with the pipelined path at 256 partitions.
-
-    The synchronous path blocks every query that arrives while the rewrite
-    runs, so an arrival at uniform-random offset waits for the remaining
-    rewrite plus its own execution.  The pipelined path bounds the wait to
-    the movement step in progress (16 partition files per step): queries
-    are genuinely executed between steps against the old epoch, and each
-    is charged half the preceding step's measured duration as its expected
-    arrival wait.  The scenario is a 256-partition re-clustering rewrite
-    between two range layouts on the sort column (the compaction-style
-    move every step of which touches all files), probed by selective
-    sort-column range queries that both epochs prune equally well — so the
-    two sides differ only in how long a query must wait, not in what it
-    reads.  The async side's committed result is asserted identical to the
-    synchronous rewrite before any timing is trusted.
-    """
-    from repro.core.reorg_scheduler import ReorgScheduler
-    from repro.layouts import RangeLayoutBuilder
-    from repro.queries import Query, between
-    from repro.storage import PartitionStore, QueryExecutor, reorganize
-
-    rng = np.random.default_rng(23)
-    column = bundle.default_sort_column
-    builder = RangeLayoutBuilder(column)
-    initial = builder.build(bundle.table, [], ASYNC_REORG_PARTITIONS, rng)
-    target = builder.build(bundle.table, [], ASYNC_REORG_PARTITIONS, rng)
-    values = bundle.table[column]
-    lo, hi = float(np.min(values)), float(np.max(values))
-    span = (hi - lo) / 64.0
-    starts = np.random.default_rng(29).uniform(lo, hi - span, size=ASYNC_PROBE_QUERIES)
-    stream = [
-        Query(predicate=between(column, float(s), float(s) + span)) for s in starts
-    ]
-
-    # --- synchronous side: the rewrite blocks the store ------------------
-    sync_store = PartitionStore(tmp_path / "sync")
-    sync_stored = sync_store.materialize(bundle.table, initial)
-    start = time.perf_counter()
-    sync_new, _ = reorganize(sync_store, sync_stored, target, bundle.table.schema)
-    sync_seconds = time.perf_counter() - start
-    sync_executor = QueryExecutor(sync_store)
-    exec_seconds = [
-        sync_executor.execute(sync_new, query).elapsed_seconds for query in stream
-    ]
-    # arrival at uniform offset f·T waits (1-f)·T for the rewrite to land
-    sync_latencies = [
-        (1.0 - (i + 0.5) / len(stream)) * sync_seconds + exec_seconds[i]
-        for i in range(len(stream))
-    ]
-
-    # --- pipelined side: bounded steps interleave with serving -----------
-    async_store = PartitionStore(tmp_path / "async")
-    async_stored = async_store.materialize(bundle.table, initial)
-    executor = QueryExecutor(async_store)
-    scheduler = ReorgScheduler(
-        async_store, executor=executor, step_partitions=ASYNC_STEP_PARTITIONS
-    )
-    scheduler.start(async_stored, target, bundle.table.schema)
-    async_latencies = []
-    position = 0
-    while scheduler.active:
-        ticked = scheduler.tick()
-        query = stream[position % len(stream)]
-        position += 1
-        start = time.perf_counter()
-        scheduler.serve(query)
-        served = time.perf_counter() - start
-        # expected wait of a uniform arrival during the step just run
-        async_latencies.append(ticked.step.elapsed_seconds / 2.0 + served)
-    async_new, _ = scheduler.pipeline.result
-    assert async_new.metadata == sync_new.metadata  # correctness before speed
-
-    sync_p50 = float(np.median(sync_latencies))
-    async_p50 = float(np.median(async_latencies))
-    ratio = sync_p50 / async_p50
-    print(
-        f"\nquery p50 latency during reorg at {ASYNC_REORG_PARTITIONS} partitions: "
-        f"sync {sync_p50 * 1e3:.1f} ms vs pipelined {async_p50 * 1e3:.2f} ms "
-        f"({ratio:.1f}x, steps of {ASYNC_STEP_PARTITIONS} partitions)"
-    )
-    record_bench_gate(
-        "async_reorg_query_p50_vs_sync",
-        threshold=3.0,
-        speedup=ratio,
-        params={
-            "partitions": ASYNC_REORG_PARTITIONS,
-            "step_partitions": ASYNC_STEP_PARTITIONS,
-            "queries": ASYNC_PROBE_QUERIES,
-        },
-    )
-    assert ratio >= 3.0
-
-
-INGEST_REORG_PARTITIONS = 128
-INGEST_BASE_PARTITIONS = 8
-INGEST_MID_FLIGHT_BATCHES = 8
-
-
-def test_dual_epoch_ingest_speedup_over_guard_and_wait(bundle, tmp_path):
-    """Acceptance: ingest p50 latency during an in-flight consolidation
-    improves ≥3× with the dual-epoch sidecar path.
-
-    The guard-and-wait contract (``allow_ingest_during_consolidation=
-    False``) rejects a batch arriving mid-consolidation, so its latency is
-    the remaining consolidation time plus its own append: an arrival at
-    uniform-random offset waits for the drain before the append can run.
-    The dual-epoch path appends the batch into the sidecar immediately —
-    its measured latency is just the old-layout append itself, regardless
-    of how much consolidation is left.  The scenario is the compaction the
-    design targets: a compact 8-partition ingest layout (cheap per-batch
-    appends) being consolidated into a 128-partition range clustering
-    (an expensive drain to wait out).  Correctness is asserted before any
-    timing is trusted: the dual-epoch store's post-commit metadata equals
-    a serialized consolidate-then-ingest reference over the same batches.
-    """
-    from repro.core.reorg_scheduler import ReorgScheduler
-    from repro.layouts import RangeLayoutBuilder, RoundRobinLayout
-    from repro.storage import PartitionStore
-    from repro.storage.ingest import IncrementalStore
-
-    column = bundle.default_sort_column
-    base = bundle.table.sample(0.5, np.random.default_rng(41))
-    initial = RoundRobinLayout(INGEST_BASE_PARTITIONS)
-    target = RangeLayoutBuilder(column).build(
-        base, [], INGEST_REORG_PARTITIONS, np.random.default_rng(37)
-    )
-    batches = [
-        bundle.table.sample(0.02, np.random.default_rng(50 + i))
-        for i in range(INGEST_MID_FLIGHT_BATCHES)
-    ]
-
-    # --- guard-and-wait side: the batch must wait out the drain ----------
-    wait_store = PartitionStore(tmp_path / "wait")
-    waiting = IncrementalStore(
-        wait_store,
-        bundle.table.schema,
-        initial,
-        allow_ingest_during_consolidation=False,
-    )
-    waiting.ingest(base)
-    start = time.perf_counter()
-    waiting.consolidate(target)  # the drain the guard forces ingest to await
-    drain_seconds = time.perf_counter() - start
-    append_seconds = [_timed(lambda b=batch: waiting.ingest(b)) for batch in batches]
-    # arrival at uniform offset f·T waits (1-f)·T for the drain to finish
-    n = len(batches)
-    wait_latencies = [
-        (1.0 - (i + 0.5) / n) * drain_seconds + append_seconds[i] for i in range(n)
-    ]
-
-    # --- dual-epoch side: the sidecar append runs immediately ------------
-    dual_store = PartitionStore(tmp_path / "dual")
-    dual = IncrementalStore(dual_store, bundle.table.schema, initial)
-    dual.ingest(base)
-    scheduler = ReorgScheduler(dual_store, step_partitions=ASYNC_STEP_PARTITIONS)
-    dual.consolidate_async(target, scheduler)
-    dual_latencies = []
-    pending = list(batches)
-    while scheduler.active:
-        scheduler.tick()
-        if pending and scheduler.active:
-            dual_latencies.append(_timed(lambda b=pending.pop(0): dual.ingest(b)))
-    assert not pending  # every batch arrived while the consolidation flew
-    assert len(dual_latencies) == n
-
-    # correctness before speed: same final state as the serialized run
-    assert dual.stored().metadata == waiting.stored().metadata
-    assert dual._next_partition_id == waiting._next_partition_id
-
-    wait_p50 = float(np.median(wait_latencies))
-    dual_p50 = float(np.median(dual_latencies))
-    ratio = wait_p50 / dual_p50
-    print(
-        f"\ningest p50 latency during consolidation at {INGEST_REORG_PARTITIONS} "
-        f"partitions: guard-and-wait {wait_p50 * 1e3:.1f} ms vs dual-epoch "
-        f"{dual_p50 * 1e3:.2f} ms ({ratio:.1f}x over {n} mid-flight batches)"
-    )
-    record_bench_gate(
-        "ingest_p50_during_consolidation_vs_guard_and_wait",
-        threshold=3.0,
-        speedup=ratio,
-        params={
-            "partitions": INGEST_REORG_PARTITIONS,
-            "base_partitions": INGEST_BASE_PARTITIONS,
-            "step_partitions": ASYNC_STEP_PARTITIONS,
-            "mid_flight_batches": INGEST_MID_FLIGHT_BATCHES,
-        },
-    )
-    assert ratio >= 3.0
-
-
-SHARDED_NUM_SHARDS = 4
-SHARDED_PARTITIONS = 32
-SHARDED_QUERIES = 64
-SHARDED_KEY = "l_orderkey"
-
-
-def test_sharded_query_throughput_speedup_4x_vs_1(bundle, tmp_path):
-    """Acceptance: aggregate ``query_batch`` throughput on the fig3
-    workload scales ≥3× from 1 engine to 4 hash shards.
-
-    Correctness first: the real :class:`ShardedEngine` (concurrent
-    thread-pool fan-out) serves the whole stream and every merged result
-    must match the single engine row-for-row before any timing is
-    trusted.  The throughput ratio is then measured per the sharded
-    deployment model — one core per shard, the same modeling the async
-    and dual-epoch gates use for arrival waits: each shard's
-    ``query_batch`` is timed serially (what that shard's core would run),
-    the sharded batch latency is the slowest shard (shards proceed in
-    parallel; the router's merge is timed on top of the critical path),
-    and the ratio is the single engine's batch time over it.  Total
-    partition count is held constant across deployments — the single
-    engine holds all 32 range partitions, each of 4 shards holds 8 over
-    its quarter of the rows — so both sides pay the same per-partition
-    fixed costs in aggregate and hash sharding splits scan bytes and
-    partition reads ~evenly; the router's merge is the measured overhead
-    this gate bounds.
-    """
-    from repro.engine import EngineConfig, LayoutEngine, ShardedEngine
-    from repro.engine.sharded import merge_query_results
-    from repro.layouts import RangeLayoutBuilder
-
-    rng = np.random.default_rng(61)
-    builder = RangeLayoutBuilder(bundle.default_sort_column)
-    single_layout = builder.build(bundle.table, [], SHARDED_PARTITIONS, rng)
-    shard_layout = builder.build(
-        bundle.table, [], SHARDED_PARTITIONS // SHARDED_NUM_SHARDS, rng
-    )
-    stream = list(bundle.workload(SHARDED_QUERIES, 4, np.random.default_rng(67)))
-
-    single = LayoutEngine(
-        EngineConfig(store_root=tmp_path / "single", cleanup_on_close=True)
-    ).open(bundle.table, single_layout)
-    sharded = ShardedEngine(
-        EngineConfig(store_root=tmp_path / "sharded", cleanup_on_close=True),
-        SHARDED_KEY,
-        SHARDED_NUM_SHARDS,
-    ).open(bundle.table, shard_layout)
-
-    # correctness before speed: the concurrent fan-out merges row-exactly
-    single_results = single.query_batch(stream)
-    merged_results = sharded.query_batch(stream)
-    for ours, theirs in zip(merged_results, single_results, strict=True):
-        assert ours.rows_matched == theirs.rows_matched
-        assert ours.total_rows == theirs.total_rows
-
-    shards = [engine for engine in sharded.shards if engine.holds_data]
-    assert len(shards) == SHARDED_NUM_SHARDS  # 50k rows populate every shard
-
-    def measure() -> float:
-        single_seconds = _timed(lambda: single.query_batch(stream))
-        per_shard = [_timed(lambda e=e: e.query_batch(stream)) for e in shards]
-        shard_results = [e.query_batch(stream) for e in shards]
-        merge_seconds = _timed(
-            lambda: [
-                merge_query_results([results[i] for results in shard_results])
-                for i in range(len(stream))
-            ]
-        )
-        sharded_seconds = max(per_shard) + merge_seconds
-        print(
-            f"\nsharded query_batch throughput at {SHARDED_NUM_SHARDS} shards x "
-            f"{SHARDED_QUERIES} queries: {single_seconds / sharded_seconds:.1f}x "
-            f"(single {single_seconds * 1e3:.1f} ms, slowest shard "
-            f"{max(per_shard) * 1e3:.1f} ms + merge {merge_seconds * 1e3:.2f} ms)"
-        )
-        return single_seconds / sharded_seconds
-
-    # Best of three rounds: one scheduler hiccup must not fail the gate.
-    speedup = max(measure() for _ in range(3))
-    single.close()
-    sharded.close()
-    record_bench_gate(
-        "sharded_query_throughput_4x_vs_1",
-        threshold=3.0,
-        speedup=speedup,
-        params={
-            "shards": SHARDED_NUM_SHARDS,
-            "partitions": SHARDED_PARTITIONS,
-            "queries": SHARDED_QUERIES,
-            "table_rows": bundle.table.num_rows,
-        },
-    )
-    assert speedup >= 3.0
-
-
 def test_bench_json_schema_and_determinism(bundle):
     """``BENCH_microbench.json`` is schema-valid and seed-deterministic.
 

@@ -6,7 +6,10 @@ serves range queries while data keeps arriving, then triggers a
 while bounded movement steps run in between them — and prints the event
 stream an :class:`repro.engine.EventLog` observer recorded along the way:
 ingests, served queries, the reorg start, every movement step, the
-α-installments, and the final commit.
+α-installments, and the final commit.  An observer is any object with an
+``on_event(name, payload)`` method; ``MovementLedger`` below is a
+five-line one that re-derives the engine's movement account from the
+stream alone.
 
 This is the API every scale-out direction plugs into; the pre-facade
 wiring (`PartitionStore` + `IncrementalStore` + `QueryExecutor` +
@@ -44,9 +47,21 @@ def quantity_queries(table, count: int, rng: np.random.Generator) -> list[Query]
     ]
 
 
+class MovementLedger:
+    """Observer summing ``movement_charged`` — the α side of the paper's
+    cost identity (service cost + α per move), rebuilt from events."""
+
+    total = 0.0
+
+    def on_event(self, name: str, payload: dict) -> None:
+        if name == "movement_charged":
+            self.total += payload["amount"]
+
+
 def main() -> None:
     rng = np.random.default_rng(7)
     log = EventLog()
+    ledger = MovementLedger()
 
     with tempfile.TemporaryDirectory() as root:
         config = EngineConfig(
@@ -58,7 +73,7 @@ def main() -> None:
             async_reorg=True,      # reorgs run as bounded steps
             step_partitions=2,     # ≤2 partition files moved per step
         )
-        with LayoutEngine(config, events=log) as engine:
+        with LayoutEngine(config, events=[log, ledger]) as engine:
             # 1. Stream batches in; each is appended under the current
             #    layout without rewriting old partitions (§III-C).
             for batch_index in range(BATCHES):
@@ -97,6 +112,8 @@ def main() -> None:
                 f"{np.mean(after):.3f} after consolidation"
             )
             stats = engine.stats()
+            # the installments seen on the event stream sum to the ledger
+            assert abs(ledger.total - stats.movement_charged) < 1e-9
             print(
                 f"stats: {stats.queries_served} queries, "
                 f"{stats.num_switches} switch(es), movement charged "

@@ -17,7 +17,8 @@ harness; production-style callers had to hand-wire ``PartitionStore`` +
   a real reorganization, synchronous or pipelined per the config;
 * **reorg progress** — ``step()`` advances one bounded movement step,
   ``run_until_idle()`` drains the pipeline, and every transition fires
-  the :class:`~repro.engine.events.EngineEvents` hooks in a fixed order.
+  an event to the :class:`~repro.engine.events.EngineEvents` observers
+  in a fixed order.
 
 The engine serializes reorganizations exactly like the logical model: a
 switch decision arriving while a pipelined move is in flight drains the
@@ -48,7 +49,7 @@ from ..storage.partition_store import PartitionStore
 from ..storage.reorg import ReorgResult, reorganize
 from ..storage.table import Schema, Table
 from .config import EngineConfig
-from .events import EngineEvents, _EventFanout
+from .events import EngineEvents, _as_tuple
 from .policies import NeverReorganize, ReorgPolicy
 
 __all__ = ["EngineStats", "LayoutEngine"]
@@ -152,11 +153,7 @@ class LayoutEngine:
         events: EngineEvents | Iterable[EngineEvents] = (),
     ):
         self.config = config
-        if isinstance(events, EngineEvents):
-            observers: tuple[EngineEvents, ...] = (events,)
-        else:
-            observers = tuple(events)
-        self._events = _EventFanout(observers)
+        self._observers: tuple[EngineEvents, ...] = _as_tuple(events, "on_event")
         # Created once per engine (not per lifetime): a close() racing a
         # query must serialize on the same lock, so the lock cannot live
         # in _reset_lifetime_state.
@@ -274,7 +271,7 @@ class LayoutEngine:
             self._logical = initial_layout
         self._is_open = True
         self._bind_policy()
-        self._events.on_open(self)
+        self._emit("open")
         return self
 
     @_serialized
@@ -295,7 +292,7 @@ class LayoutEngine:
                 self._cleanup_files()
         finally:
             self._is_open = False
-            self._events.on_close(self)
+            self._emit("close")
 
     def __enter__(self) -> "LayoutEngine":
         """Enter the context manager; opens a streaming engine if needed."""
@@ -415,8 +412,8 @@ class LayoutEngine:
         batch.  While a pipelined consolidation is in flight the batch
         takes the dual-epoch sidecar path: it is immediately queryable
         against the old epoch and replayed through the new layout at the
-        final commit (``on_ingest_during_reorg`` fires in addition to
-        ``on_ingest``); with ``EngineConfig.ingest_during_reorg=False``
+        final commit (``ingest_during_reorg`` fires in addition to
+        ``ingest``); with ``EngineConfig.ingest_during_reorg=False``
         the call raises instead.  Raises on an engine opened over a
         materialized table.
         """
@@ -446,10 +443,14 @@ class LayoutEngine:
         routed_sidecar = self._incremental.consolidating
         written = self._incremental.ingest(batch)
         self._rows_ingested += batch.num_rows
-        self._events.on_ingest(batch.num_rows, written)
+        self._emit("ingest", rows=batch.num_rows, partitions_written=written)
         if routed_sidecar:
-            target_id = self._inflight[1] if self._inflight else "?"
-            self._events.on_ingest_during_reorg(batch.num_rows, written, target_id)
+            self._emit(
+                "ingest_during_reorg",
+                rows=batch.num_rows,
+                partitions_written=written,
+                target_id=self._inflight[1] if self._inflight else "?",
+            )
         return written
 
     @_serialized
@@ -485,7 +486,7 @@ class LayoutEngine:
         per phase.  Purely observational: engine state is untouched.
         """
         self._require_open()
-        self._events.on_scenario_phase(scenario, phase)
+        self._emit("scenario_phase", scenario=scenario, phase=phase)
 
     @_serialized
     def query_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
@@ -503,10 +504,8 @@ class LayoutEngine:
             return []
         assert self.executor is not None  # open() created it
         results = self.executor.execute_batch(self._visible(), queries)
-        for query, result in zip(queries, results, strict=True):
-            self._queries_served += 1
-            self._bytes_read += result.bytes_read
-            self._events.on_query_served(query, result)
+        for result in results:
+            self._served(result)
         for query in queries:
             self._advance(query, execute=False)
         return results
@@ -516,9 +515,9 @@ class LayoutEngine:
         self._require_open()
         decision = self.policy.observe(query, self._costs_for(query))
         for layout_id in decision.admitted:
-            self._events.on_layout_admitted(layout_id)
+            self._emit("layout_admitted", layout_id=layout_id)
         for layout_id in decision.pruned:
-            self._events.on_layout_pruned(layout_id)
+            self._emit("layout_pruned", layout_id=layout_id)
         target = decision.target
         if target is not None and (
             self._logical is None or target.layout_id != self._logical.layout_id
@@ -531,12 +530,20 @@ class LayoutEngine:
         if execute:
             assert self.executor is not None  # open() created it
             result = self.executor.execute(self._visible(), query)
-            self._queries_served += 1
-            self._bytes_read += result.bytes_read
-            self._events.on_query_served(query, result)
+            self._served(result)
         if self.reorg_active:
             self.step()
         return result
+
+    def _served(self, result: QueryResult) -> None:
+        """Account one executed query and announce it."""
+        self._queries_served += 1
+        self._bytes_read += result.bytes_read
+        self._emit(
+            "query_served",
+            rows_scanned=result.rows_scanned,
+            partitions_scanned=result.partitions_scanned,
+        )
 
     def _costs_for(self, query: Query) -> dict[str, float]:
         if not getattr(self.policy, "wants_costs", False):
@@ -604,7 +611,12 @@ class LayoutEngine:
             source = self._logical
         # Data exists (checked above), so a layout was adopted with it.
         assert source is not None
-        self._events.on_reorg_started(source.layout_id, target.layout_id, pipelined)
+        self._emit(
+            "reorg_started",
+            source_id=source.layout_id,
+            target_id=target.layout_id,
+            pipelined=pipelined,
+        )
         if self._incremental is not None:
             self._reorg_incremental(source, target, pipelined)
         else:
@@ -636,15 +648,13 @@ class LayoutEngine:
             return
         assert self.store is not None and self.executor is not None
         new_stored, result = reorganize(self.store, self._stored, target, self._schema)
-        self._reorg_seconds += result.elapsed_seconds
         self._charge_alpha()
         # The old files are gone from disk; its compiled index is carried
         # forward incrementally for the partitions the reorg left
         # untouched (falls back to lazy recompile).
         self.executor.apply_reorg(source.layout_id, new_stored, result.delta)
         self._stored = new_stored
-        self._reorgs_completed += 1
-        self._events.on_reorg_committed(source.layout_id, target.layout_id, result)
+        self._committed(source.layout_id, target.layout_id, result)
 
     def _reorg_incremental(
         self, source: DataLayout, target: DataLayout, pipelined: bool
@@ -657,19 +667,32 @@ class LayoutEngine:
             self._inflight = (source.layout_id, target.layout_id)
             return
         result = self._incremental.consolidate(target)
-        self._reorg_seconds += result.elapsed_seconds
         self._charge_alpha()
         assert self.executor is not None  # open() created it
         self.executor.apply_reorg(
             source.layout_id, self._incremental.stored(), result.delta
         )
-        self._reorgs_completed += 1
-        self._events.on_reorg_committed(source.layout_id, target.layout_id, result)
+        self._committed(source.layout_id, target.layout_id, result)
 
     def _charge_alpha(self) -> None:
         if self.config.alpha is not None:
             self._movement_charged += self.config.alpha
-            self._events.on_movement_charged(self.config.alpha)
+            self._announce_charge(self.config.alpha)
+
+    def _announce_charge(self, amount: float) -> None:
+        """Emit one movement charge (negative = refund); callers own the ledger."""
+        self._emit("movement_charged", amount=amount)
+
+    def _committed(self, source_id: str, target_id: str, result: ReorgResult) -> None:
+        """Account one landed reorganization and announce it."""
+        self._reorg_seconds += result.elapsed_seconds
+        self._reorgs_completed += 1
+        self._emit(
+            "reorg_committed",
+            source_id=source_id,
+            target_id=target_id,
+            partitions_written=result.partitions_written,
+        )
 
     # ----------------------------------------------------------- reorg progress
     @_serialized
@@ -679,7 +702,7 @@ class LayoutEngine:
         Returns ``None`` when nothing is in flight.  On the final commit
         the visible epoch flips, the engine's accounting settles (reorg
         seconds, movement installments summing to exactly α) and
-        ``on_reorg_committed`` fires.
+        ``reorg_committed`` fires.
         """
         self._require_open()
         if not self.reorg_active:
@@ -687,12 +710,14 @@ class LayoutEngine:
         assert self._scheduler is not None  # reorg_active implies one
         scheduled = self._scheduler.tick()
         assert scheduled is not None  # an active pipeline always yields a step
-        target_id = self._inflight[1] if self._inflight else "?"
-        self._events.on_reorg_step(
-            target_id, scheduled.step.kind, scheduled.step.completed_fraction
+        self._emit(
+            "reorg_step",
+            target_id=self._inflight[1] if self._inflight else "?",
+            kind=scheduled.step.kind,
+            completed_fraction=scheduled.step.completed_fraction,
         )
         if scheduled.movement_charge:
-            self._events.on_movement_charged(scheduled.movement_charge)
+            self._announce_charge(scheduled.movement_charge)
         if scheduled.completed:
             self._settle()
         return scheduled
@@ -714,10 +739,10 @@ class LayoutEngine:
         sits on (so a policy re-stating the abandoned target switches
         again instead of silently no-oping), refunds the movement
         installments already emitted as one compensating negative
-        ``on_movement_charged`` event (the stream's sum stays equal to
+        ``movement_charged`` event (the stream's sum stays equal to
         ``stats().movement_charged``, which never accrued the aborted
         attempt), releases a streaming consolidation's ingest guard, and
-        fires ``on_reorg_aborted``.  Returns the refunded movement
+        fires ``reorg_aborted``.  Returns the refunded movement
         budget; no-op (0.0) when nothing is in flight.  This — not
         driving the exposed scheduler directly — is the supported way to
         cancel a move.
@@ -736,8 +761,8 @@ class LayoutEngine:
         # queries were served from.
         self._logical = self._visible().layout
         if refund:
-            self._events.on_movement_charged(-refund)
-        self._events.on_reorg_aborted(source_id, target_id)
+            self._announce_charge(-refund)
+        self._emit("reorg_aborted", source_id=source_id, target_id=target_id)
         return refund
 
     def _settle(self) -> None:
@@ -752,12 +777,15 @@ class LayoutEngine:
         new_stored, result = self._scheduler.pipeline.result
         if self._incremental is None:
             self._stored = new_stored
-        self._reorg_seconds += result.elapsed_seconds
         self._movement_charged += self._scheduler.charged
-        self._reorgs_completed += 1
-        self._events.on_reorg_committed(source_id, target_id, result)
+        self._committed(source_id, target_id, result)
 
     # ---------------------------------------------------------------- internal
+    def _emit(self, name: str, **payload: Any) -> None:
+        """Hand one event (see the ``EngineEvents`` table) to every observer."""
+        for observer in self._observers:
+            observer.on_event(name, payload)
+
     def _derive_layout(self, table: Table) -> DataLayout:
         if self.config.builder is None:
             raise RuntimeError(

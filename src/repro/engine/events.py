@@ -1,29 +1,18 @@
-"""Engine lifecycle events: one observer interface for everything that happens.
+"""Engine lifecycle events: one channel for everything that happens.
 
-:class:`EngineEvents` is the observer base class — every hook is a no-op,
-subclasses override what they care about.  The engine fires hooks in a
-fixed, documented order per query (decision → reorg start → serve →
-movement step → commit), which is what makes event streams comparable
-across runs and usable as replication hooks: a follower that replays the
-event stream sees state transitions in exactly the order the leader
-applied them.
-
-:class:`EventLog` is the bundled reference observer: it records every
-event as a ``(name, payload)`` tuple, which telemetry, tests (event
-ordering is asserted against it) and the examples all consume.
+The engine names every event and shapes its payload once, at the firing
+site, and hands each observer the same ``(name, payload)`` pair through
+:meth:`EngineEvents.on_event`.  Events fire synchronously, in a fixed
+order per query (decision → reorg start → serve → movement step →
+commit), so a follower replaying the stream sees state transitions in
+exactly the order the leader applied them.  :class:`EventLog` is the
+bundled recorder telemetry, the ordering tests and the examples consume.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any
-
-from ..queries.query import Query
-from ..storage.executor import QueryResult
-from ..storage.reorg import ReorgResult
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids cycle)
-    from .engine import LayoutEngine
+from typing import Any
 
 __all__ = ["EngineEvents", "EventLog"]
 
@@ -31,74 +20,36 @@ __all__ = ["EngineEvents", "EventLog"]
 class EngineEvents:
     """Observer interface for :class:`~repro.engine.LayoutEngine` lifecycle.
 
-    Subclass and override any hook; the defaults do nothing, so observers
-    only pay for what they watch.  Hooks must not raise — an exception
-    propagates out of the engine call that fired it.
+    An observer is anything with an ``on_event(name, payload)`` method;
+    subclassing this no-op base is optional.  The whole vocabulary — every
+    sink (``EventLog``, the shard-tagged stream, ``/events``) sees exactly
+    these names and payload keys::
+
+        open                 ()                                          open() finished; the engine is usable
+        close                ()                                          closed (any in-flight move aborted first)
+        ingest               (rows, partitions_written)                  one batch appended
+        ingest_during_reorg  (rows, partitions_written, target_id)       that batch took the dual-epoch sidecar path
+        query_served         (rows_scanned, partitions_scanned)          one query ran against the visible epoch
+        layout_admitted      (layout_id)                                 the policy admitted a layout
+        layout_pruned        (layout_id)                                 the policy pruned a layout
+        reorg_started        (source_id, target_id, pipelined)           a reorganization began
+        reorg_step           (target_id, kind, completed_fraction)       one movement step: read/assign/write/commit
+        reorg_committed      (source_id, target_id, partitions_written)  the final commit flipped the visible epoch
+        reorg_aborted        (source_id, target_id)                      an in-flight move was abandoned
+        movement_charged     (amount)                                    α, or one pipelined installment
+        scenario_phase       (scenario, phase)                           mark_phase() marked a workload boundary
+
+    ``ingest`` fires for every batch (``ingest_during_reorg`` right after
+    it), and a *negative* ``movement_charged`` refunds the installments
+    of an aborted move, so an observer summing the stream reconstructs
+    the engine's row count and movement ledger exactly.
     """
 
-    def on_open(self, engine: "LayoutEngine") -> None:
-        """The engine finished :meth:`~repro.engine.LayoutEngine.open`."""
+    def on_event(self, name: str, payload: dict[str, Any]) -> None:
+        """One event fired; the default ignores it.
 
-    def on_close(self, engine: "LayoutEngine") -> None:
-        """The engine closed (after any in-flight reorg was aborted)."""
-
-    def on_ingest(self, rows: int, partitions_written: int) -> None:
-        """One batch was appended (``rows`` rows, ``partitions_written`` files)."""
-
-    def on_ingest_during_reorg(
-        self, rows: int, partitions_written: int, target_id: str
-    ) -> None:
-        """One batch took the dual-epoch sidecar path mid-consolidation.
-
-        Fires *in addition to* :meth:`on_ingest` (observers summing rows
-        over the plain hook stay correct); ``target_id`` is the in-flight
-        consolidation's target layout.  The batch is already visible
-        against the old epoch and will be replayed through the new layout
-        at the final commit.
-        """
-
-    def on_query_served(self, query: Query, result: QueryResult) -> None:
-        """One query was executed against the visible epoch."""
-
-    def on_layout_admitted(self, layout_id: str) -> None:
-        """The policy admitted a new layout into its state space."""
-
-    def on_layout_pruned(self, layout_id: str) -> None:
-        """The policy pruned a layout from its state space."""
-
-    def on_reorg_started(
-        self, source_id: str, target_id: str, pipelined: bool
-    ) -> None:
-        """A reorganization began (``pipelined`` = bounded movement steps)."""
-
-    def on_reorg_step(
-        self, target_id: str, kind: str, completed_fraction: float
-    ) -> None:
-        """One pipelined movement step ran (``kind``: read/assign/write/commit)."""
-
-    def on_reorg_committed(
-        self, source_id: str, target_id: str, result: ReorgResult
-    ) -> None:
-        """A reorganization's final commit flipped the visible epoch."""
-
-    def on_reorg_aborted(self, source_id: str, target_id: str) -> None:
-        """An in-flight reorganization was abandoned without committing."""
-
-    def on_movement_charged(self, amount: float) -> None:
-        """Movement budget was charged (α, or one pipelined installment).
-
-        A *negative* amount is the refund compensating the installments
-        of an aborted reorganization, so an observer summing the stream
-        always reconstructs the engine's movement ledger exactly.
-        """
-
-    def on_scenario_phase(self, scenario: str, phase: str) -> None:
-        """A scenario driver marked a workload-phase boundary.
-
-        Fired by :meth:`~repro.engine.LayoutEngine.mark_phase` when a
-        scenario runner transitions between workload phases (e.g. a
-        flash crowd starting, a drift window advancing), so event
-        streams can be segmented per phase when analysing a run.
+        ``payload`` is shared by every observer — read it, do not mutate
+        it.  Observers run inside the engine call and must not raise.
         """
 
 
@@ -107,9 +58,9 @@ class EventLog(EngineEvents):
 
     Recording is thread-safe: one log can be shared across the engines of
     a :class:`~repro.engine.sharded.ShardedEngine`, whose fan-out threads
-    fire hooks concurrently.  The lock keeps ``records`` a consistent
+    fire events concurrently.  The lock keeps ``records`` a consistent
     sequence under that interleaving; *within* one engine the recorded
-    order is still exactly the firing order (hooks fire synchronously),
+    order is still exactly the firing order (events fire synchronously),
     which is what the event-ordering tests pin.
     """
 
@@ -123,161 +74,12 @@ class EventLog(EngineEvents):
         with self._lock:
             return [name for name, _ in self.records]
 
-    def _record(self, name: str, **payload: Any) -> None:
+    def on_event(self, name: str, payload: dict[str, Any]) -> None:
+        """Record one event."""
         with self._lock:
             self.records.append((name, payload))
 
-    def on_open(self, engine: "LayoutEngine") -> None:
-        """Record the open."""
-        self._record("open")
 
-    def on_close(self, engine: "LayoutEngine") -> None:
-        """Record the close."""
-        self._record("close")
-
-    def on_ingest(self, rows: int, partitions_written: int) -> None:
-        """Record one ingested batch."""
-        self._record("ingest", rows=rows, partitions_written=partitions_written)
-
-    def on_ingest_during_reorg(
-        self, rows: int, partitions_written: int, target_id: str
-    ) -> None:
-        """Record one sidecar-routed batch."""
-        self._record(
-            "ingest_during_reorg",
-            rows=rows,
-            partitions_written=partitions_written,
-            target_id=target_id,
-        )
-
-    def on_query_served(self, query: Query, result: QueryResult) -> None:
-        """Record one served query."""
-        self._record(
-            "query_served",
-            rows_scanned=result.rows_scanned,
-            partitions_scanned=result.partitions_scanned,
-        )
-
-    def on_layout_admitted(self, layout_id: str) -> None:
-        """Record one admitted layout."""
-        self._record("layout_admitted", layout_id=layout_id)
-
-    def on_layout_pruned(self, layout_id: str) -> None:
-        """Record one pruned layout."""
-        self._record("layout_pruned", layout_id=layout_id)
-
-    def on_reorg_started(
-        self, source_id: str, target_id: str, pipelined: bool
-    ) -> None:
-        """Record a reorganization start."""
-        self._record(
-            "reorg_started",
-            source_id=source_id,
-            target_id=target_id,
-            pipelined=pipelined,
-        )
-
-    def on_reorg_step(
-        self, target_id: str, kind: str, completed_fraction: float
-    ) -> None:
-        """Record one movement step."""
-        self._record(
-            "reorg_step",
-            target_id=target_id,
-            kind=kind,
-            completed_fraction=completed_fraction,
-        )
-
-    def on_reorg_committed(
-        self, source_id: str, target_id: str, result: ReorgResult
-    ) -> None:
-        """Record a reorganization commit."""
-        self._record(
-            "reorg_committed",
-            source_id=source_id,
-            target_id=target_id,
-            partitions_written=result.partitions_written,
-        )
-
-    def on_reorg_aborted(self, source_id: str, target_id: str) -> None:
-        """Record an aborted reorganization."""
-        self._record("reorg_aborted", source_id=source_id, target_id=target_id)
-
-    def on_movement_charged(self, amount: float) -> None:
-        """Record one movement-budget installment."""
-        self._record("movement_charged", amount=amount)
-
-    def on_scenario_phase(self, scenario: str, phase: str) -> None:
-        """Record one scenario phase marker."""
-        self._record("scenario_phase", scenario=scenario, phase=phase)
-
-
-class _EventFanout(EngineEvents):
-    """Internal: broadcast every hook to an observer list, in order."""
-
-    def __init__(self, observers: tuple[EngineEvents, ...]):
-        self._observers = observers
-
-    def _fan(self, name: str, *args: Any) -> None:
-        for observer in self._observers:
-            getattr(observer, name)(*args)
-
-    def on_open(self, engine: "LayoutEngine") -> None:
-        """Broadcast the open."""
-        self._fan("on_open", engine)
-
-    def on_close(self, engine: "LayoutEngine") -> None:
-        """Broadcast the close."""
-        self._fan("on_close", engine)
-
-    def on_ingest(self, rows: int, partitions_written: int) -> None:
-        """Broadcast one ingested batch."""
-        self._fan("on_ingest", rows, partitions_written)
-
-    def on_ingest_during_reorg(
-        self, rows: int, partitions_written: int, target_id: str
-    ) -> None:
-        """Broadcast one sidecar-routed batch."""
-        self._fan("on_ingest_during_reorg", rows, partitions_written, target_id)
-
-    def on_query_served(self, query: Query, result: QueryResult) -> None:
-        """Broadcast one served query."""
-        self._fan("on_query_served", query, result)
-
-    def on_layout_admitted(self, layout_id: str) -> None:
-        """Broadcast one admitted layout."""
-        self._fan("on_layout_admitted", layout_id)
-
-    def on_layout_pruned(self, layout_id: str) -> None:
-        """Broadcast one pruned layout."""
-        self._fan("on_layout_pruned", layout_id)
-
-    def on_reorg_started(
-        self, source_id: str, target_id: str, pipelined: bool
-    ) -> None:
-        """Broadcast a reorganization start."""
-        self._fan("on_reorg_started", source_id, target_id, pipelined)
-
-    def on_reorg_step(
-        self, target_id: str, kind: str, completed_fraction: float
-    ) -> None:
-        """Broadcast one movement step."""
-        self._fan("on_reorg_step", target_id, kind, completed_fraction)
-
-    def on_reorg_committed(
-        self, source_id: str, target_id: str, result: ReorgResult
-    ) -> None:
-        """Broadcast a reorganization commit."""
-        self._fan("on_reorg_committed", source_id, target_id, result)
-
-    def on_reorg_aborted(self, source_id: str, target_id: str) -> None:
-        """Broadcast an aborted reorganization."""
-        self._fan("on_reorg_aborted", source_id, target_id)
-
-    def on_movement_charged(self, amount: float) -> None:
-        """Broadcast one movement-budget installment."""
-        self._fan("on_movement_charged", amount)
-
-    def on_scenario_phase(self, scenario: str, phase: str) -> None:
-        """Broadcast one scenario phase marker."""
-        self._fan("on_scenario_phase", scenario, phase)
+def _as_tuple(observers: Any, method: str) -> tuple[Any, ...]:
+    """One observer (anything with ``method``) or an iterable of them."""
+    return (observers,) if hasattr(observers, method) else tuple(observers)

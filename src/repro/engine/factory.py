@@ -53,7 +53,7 @@ from ..storage.partition_store import PartitionStore
 from ..storage.table import ColumnSpec, Schema, Table
 from .config import EngineConfig
 from .engine import LayoutEngine
-from .events import EngineEvents
+from .events import EngineEvents, _as_tuple
 from .sharded import ShardedEngine, ShardEventObserver, _ShardTagger
 
 __all__ = [
@@ -503,10 +503,7 @@ class StoreDir:
         manifest = self.manifest
         self.reset_data()
         config = self.engine_config()
-        if hasattr(shard_events, "on_shard_event"):
-            sinks: tuple[ShardEventObserver, ...] = (shard_events,)  # type: ignore[assignment]
-        else:
-            sinks = tuple(shard_events)  # type: ignore[arg-type]
+        sinks: tuple[ShardEventObserver, ...] = _as_tuple(shard_events, "on_shard_event")
         engine: LayoutEngine | ShardedEngine
         if manifest.shards is not None:
             engine = ShardedEngine(
@@ -517,10 +514,7 @@ class StoreDir:
                 shard_events=sinks,
             )
         else:
-            if isinstance(events, EngineEvents):
-                observers: tuple[EngineEvents, ...] = (events,)
-            else:
-                observers = tuple(events)
+            observers: tuple[EngineEvents, ...] = _as_tuple(events, "on_event")
             if sinks:
                 observers = (*observers, _ShardTagger(0, sinks))
             engine = LayoutEngine(config, events=observers)

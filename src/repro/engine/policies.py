@@ -63,7 +63,7 @@ class Decision:
     ``movement_cost`` is the policy's *own* logical-ledger charge for
     this step, carried for callers that drive policies directly — the
     engine does not consume it; its physical movement ledger (and the
-    ``on_movement_charged`` events) charge the configured α separately.
+    ``movement_charged`` events) charge the configured α separately.
     """
 
     target: DataLayout | None = None

@@ -22,7 +22,7 @@ serving throughput multiplies.  :class:`ShardedEngine` is that router:
   concurrent callers;
 * **observability** — ``stats()`` merges shard counters, and a
   shard-tagged event stream (:class:`ShardEventObserver`,
-  :class:`ShardedEventLog`) reports every engine hook as
+  :class:`ShardedEventLog`) reports every engine event as
   ``(shard, name, payload)`` so one observer can watch the whole fleet.
 
 The differential suite pins the composition argument: a 4-shard run's
@@ -48,7 +48,7 @@ from ..storage.executor import QueryResult
 from ..storage.table import Table
 from .config import EngineConfig
 from .engine import EngineStats, LayoutEngine
-from .events import EngineEvents
+from .events import EngineEvents, _as_tuple
 from .policies import ReorgPolicy
 
 __all__ = [
@@ -155,7 +155,7 @@ def merge_query_results(results: Sequence[QueryResult]) -> QueryResult:
 class ShardEventObserver(Protocol):
     """Observer of the shard-tagged event stream.
 
-    Implementations MUST be thread-safe: shards fire their hooks from
+    Implementations MUST be thread-safe: shards fire their events from
     the router's fan-out threads, so ``on_shard_event`` calls for
     different shards arrive concurrently (within one shard the order is
     still exactly the engine's firing order).
@@ -198,100 +198,17 @@ class ShardedEventLog:
 
 
 class _ShardTagger(EngineEvents):
-    """Internal: re-emit one engine's events onto the tagged stream.
-
-    Overrides every :class:`EngineEvents` hook and forwards it as
-    ``(shard, name, payload)`` to each sink — the same name/payload
-    normalization :class:`~repro.engine.events.EventLog` records, so a
-    :class:`ShardedEventLog` entry is exactly an ``EventLog`` entry plus
-    its shard tag.
-    """
+    """Internal: forwards one engine's events as ``(shard, name, payload)``,
+    so a tagged record is exactly an ``EventLog`` record plus its shard."""
 
     def __init__(self, shard: int, sinks: Sequence[ShardEventObserver]):
         self._shard = shard
-        self._sinks = tuple(sinks)
+        self._sinks = sinks
 
-    def _emit(self, name: str, **payload: Any) -> None:
+    def on_event(self, name: str, payload: dict[str, Any]) -> None:
+        """Tag and forward one event."""
         for sink in self._sinks:
             sink.on_shard_event(self._shard, name, payload)
-
-    def on_open(self, engine: LayoutEngine) -> None:
-        """Tag and forward the open."""
-        self._emit("open")
-
-    def on_close(self, engine: LayoutEngine) -> None:
-        """Tag and forward the close."""
-        self._emit("close")
-
-    def on_ingest(self, rows: int, partitions_written: int) -> None:
-        """Tag and forward one ingested batch."""
-        self._emit("ingest", rows=rows, partitions_written=partitions_written)
-
-    def on_ingest_during_reorg(
-        self, rows: int, partitions_written: int, target_id: str
-    ) -> None:
-        """Tag and forward one sidecar-routed batch."""
-        self._emit(
-            "ingest_during_reorg",
-            rows=rows,
-            partitions_written=partitions_written,
-            target_id=target_id,
-        )
-
-    def on_query_served(self, query: Query, result: QueryResult) -> None:
-        """Tag and forward one served query."""
-        self._emit(
-            "query_served",
-            rows_scanned=result.rows_scanned,
-            partitions_scanned=result.partitions_scanned,
-        )
-
-    def on_layout_admitted(self, layout_id: str) -> None:
-        """Tag and forward one admitted layout."""
-        self._emit("layout_admitted", layout_id=layout_id)
-
-    def on_layout_pruned(self, layout_id: str) -> None:
-        """Tag and forward one pruned layout."""
-        self._emit("layout_pruned", layout_id=layout_id)
-
-    def on_reorg_started(self, source_id: str, target_id: str, pipelined: bool) -> None:
-        """Tag and forward a reorganization start."""
-        self._emit(
-            "reorg_started",
-            source_id=source_id,
-            target_id=target_id,
-            pipelined=pipelined,
-        )
-
-    def on_reorg_step(self, target_id: str, kind: str, completed_fraction: float) -> None:
-        """Tag and forward one movement step."""
-        self._emit(
-            "reorg_step",
-            target_id=target_id,
-            kind=kind,
-            completed_fraction=completed_fraction,
-        )
-
-    def on_reorg_committed(self, source_id: str, target_id: str, result: Any) -> None:
-        """Tag and forward a reorganization commit."""
-        self._emit(
-            "reorg_committed",
-            source_id=source_id,
-            target_id=target_id,
-            partitions_written=result.partitions_written,
-        )
-
-    def on_reorg_aborted(self, source_id: str, target_id: str) -> None:
-        """Tag and forward an aborted reorganization."""
-        self._emit("reorg_aborted", source_id=source_id, target_id=target_id)
-
-    def on_movement_charged(self, amount: float) -> None:
-        """Tag and forward one movement-budget installment."""
-        self._emit("movement_charged", amount=amount)
-
-    def on_scenario_phase(self, scenario: str, phase: str) -> None:
-        """Tag and forward one scenario phase marker."""
-        self._emit("scenario_phase", scenario=scenario, phase=phase)
 
 
 class ShardedEngine:
@@ -351,14 +268,8 @@ class ShardedEngine:
         self._router = HashLayout(
             shard_key, num_shards, layout_id=f"shard-router-{num_shards}"
         )
-        if isinstance(events, EngineEvents):
-            shared: tuple[EngineEvents, ...] = (events,)
-        else:
-            shared = tuple(events)
-        if hasattr(shard_events, "on_shard_event"):
-            sinks: tuple[ShardEventObserver, ...] = (shard_events,)  # type: ignore[assignment]
-        else:
-            sinks = tuple(shard_events)  # type: ignore[arg-type]
+        shared: tuple[EngineEvents, ...] = _as_tuple(events, "on_event")
+        sinks: tuple[ShardEventObserver, ...] = _as_tuple(shard_events, "on_shard_event")
         self._engines = [
             LayoutEngine(
                 shard_configs[shard],

@@ -35,8 +35,8 @@ rewrite runs would have stalled for its whole duration.  With
 :class:`~repro.core.reorg_scheduler.ReorgScheduler`: one bounded movement
 step is interleaved after each query, queries keep reading the old epoch's
 files until the final commit flips the snapshot, and the per-query stall is
-bounded by a single step instead of the whole rewrite (the microbench gate
-in ``benchmarks/test_microbench.py`` quantifies the p50 improvement).
+bounded by a single step instead of the whole rewrite (``bench/``'s
+``serve_mixed`` workload measures query latency during a live move).
 """
 
 from __future__ import annotations

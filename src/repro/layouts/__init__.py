@@ -17,14 +17,12 @@ from .metadata import (
 from .qdtree import QdTreeBuilder, QdTreeLayout, QdTreeNode, extract_cut_predicates
 from .range_layout import RangeLayout, RangeLayoutBuilder, equal_frequency_boundaries
 from .stacked import StackedStateSpace
-from .workload_compiler import CompiledWorkload, compile_workload
+from .workload_compiler import CompiledWorkload
 from .zonemaps import (
     ReorgDelta,
     ZoneMapIndex,
-    compile_zone_maps,
     compute_reorg_delta,
     compute_reorg_delta_from_assignments,
-    prune_matrix,
 )
 from .zorder import ZOrderLayout, ZOrderLayoutBuilder, morton_interleave
 
@@ -51,14 +49,11 @@ __all__ = [
     "ZoneMapIndex",
     "build_layout_metadata",
     "build_partition_metadata",
-    "compile_workload",
-    "compile_zone_maps",
     "compute_reorg_delta",
     "compute_reorg_delta_from_assignments",
     "equal_frequency_boundaries",
     "eval_skipped",
     "extract_cut_predicates",
     "morton_interleave",
-    "prune_matrix",
     "top_queried_columns",
 ]

@@ -94,7 +94,7 @@ from .zonemaps import (
     _WORD_BITS,
 )
 
-__all__ = ["CompiledWorkload", "compile_workload"]
+__all__ = ["CompiledWorkload"]
 
 
 def _maybe_exact_float(value) -> float | None:
@@ -655,8 +655,3 @@ class CompiledWorkload:
         for word in range(num_words):
             mask &= (zones.bitmap[:, word][None, :] & ~packed[:, word][:, None]) == 0
         return mask
-
-
-def compile_workload(predicates: Sequence[Predicate]) -> CompiledWorkload:
-    """Compile a query sample's predicates for batched evaluation."""
-    return CompiledWorkload(predicates)

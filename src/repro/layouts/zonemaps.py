@@ -58,7 +58,7 @@ unchanged partitions and recomputing only the changed ones.  A carried
 column's value-union is append-only (old bit positions stay valid), a
 column that turns non-compilable or newly-statted simply drops back to
 lazy compilation, and the resulting index is behaviorally identical to a
-from-scratch ``compile_zone_maps`` on the new metadata (asserted by the
+from-scratch ``ZoneMapIndex`` over the new metadata (asserted by the
 stateful reorg test suite).  The delta must be computed against the very
 metadata object the index was built from.
 """
@@ -89,10 +89,8 @@ from .metadata import LayoutMetadata
 __all__ = [
     "ReorgDelta",
     "ZoneMapIndex",
-    "compile_zone_maps",
     "compute_reorg_delta",
     "compute_reorg_delta_from_assignments",
-    "prune_matrix",
 ]
 
 _WORD_BITS = 64
@@ -592,7 +590,7 @@ class ZoneMapIndex:
         bitmap rows stay valid.  Columns this index never compiled stay
         lazy, and columns that cannot be carried exactly (non-numeric new
         boundaries) drop back to lazy compilation — behavior is always
-        identical to ``compile_zone_maps(delta.new_metadata)``.
+        identical to ``ZoneMapIndex(delta.new_metadata)``.
         """
         if delta.old_metadata is not self.metadata:
             raise ValueError(
@@ -837,13 +835,3 @@ def compute_reorg_delta_from_assignments(
         carried_new=np.flatnonzero(carried_mask),
         carried_old=old_position[carried_mask],
     )
-
-
-def compile_zone_maps(metadata: LayoutMetadata) -> ZoneMapIndex:
-    """Compile a layout's metadata into a :class:`ZoneMapIndex`."""
-    return ZoneMapIndex(metadata)
-
-
-def prune_matrix(metadata: LayoutMetadata, predicates: Sequence[Predicate]) -> np.ndarray:
-    """One-shot ``(num_queries, num_partitions)`` pruning matrix."""
-    return ZoneMapIndex(metadata).prune_matrix(predicates)

@@ -32,11 +32,11 @@ def _json_safe(value: Any) -> Any:
 class EventRing:
     """Thread-safe bounded buffer of shard-tagged engine events.
 
-    Engine hooks fire from serving threads and the sharded router's
+    Engine events fire from serving threads and the sharded router's
     fan-out pool, while ``/events`` reads from the asyncio thread, so
     every access takes the ring's lock.  Records are JSON-safe dicts::
 
-        {"seq": 17, "shard": 2, "event": "on_reorg_step", "payload": {...}}
+        {"seq": 17, "shard": 2, "event": "reorg_step", "payload": {...}}
 
     ``seq`` keeps counting across evictions: a reader that comes back
     with ``since=<last seen seq>`` sees exactly the records it missed

@@ -205,12 +205,13 @@ def test_multiple_observers_fan_out_in_order(tmp_path, bundle, layouts, query):
     first, _ = layouts
     calls: list[str] = []
 
-    class Tagged(EngineEvents):
+    class Tagged:  # duck-typed: any object with on_event is an observer
         def __init__(self, tag):
             self.tag = tag
 
-        def on_query_served(self, query, result):
-            calls.append(self.tag)
+        def on_event(self, name, payload):
+            if name == "query_served":
+                calls.append(self.tag)
 
     config = EngineConfig(store_root=tmp_path / "s", cleanup_on_close=True)
     engine = LayoutEngine(config, events=[Tagged("a"), Tagged("b")])
@@ -219,25 +220,45 @@ def test_multiple_observers_fan_out_in_order(tmp_path, bundle, layouts, query):
     assert calls == ["a", "b"]
 
 
-def test_observer_sees_engine_on_open(tmp_path, bundle, layouts):
+@pytest.mark.parametrize(
+    "wrap", [lambda o: o, lambda o: [o], lambda o: iter((o,))], ids=["bare", "list", "iterator"]
+)
+def test_events_argument_takes_one_observer_or_any_iterable(
+    tmp_path, bundle, layouts, wrap
+):
     first, _ = layouts
-    seen = {}
+    log = EventLog()
+    config = EngineConfig(store_root=tmp_path / "s", cleanup_on_close=True)
+    with LayoutEngine(config, events=wrap(log)).open(bundle.table, first):
+        pass
+    assert log.names() == ["open", "close"]
+
+
+def test_observer_sees_engine_on_open(tmp_path, bundle, layouts, query):
+    """``open`` fires once the engine is usable (an observer can already
+    read ``current_layout``), and ``close`` is the last event."""
+    first, _ = layouts
+    seen: list[tuple[str, object]] = []
 
     class Probe(EngineEvents):
-        def on_open(self, engine):
-            seen["open"] = engine.current_layout.layout_id
+        engine: LayoutEngine
 
-        def on_close(self, engine):
-            seen["close"] = True
+        def on_event(self, name, payload):
+            layout = self.engine.current_layout
+            seen.append((name, layout.layout_id if layout is not None else None))
 
+    probe = Probe()
     config = EngineConfig(store_root=tmp_path / "s", cleanup_on_close=True)
-    with LayoutEngine(config, events=Probe()).open(bundle.table, first):
-        pass
-    assert seen == {"open": first.layout_id, "close": True}
+    probe.engine = LayoutEngine(config, events=probe)
+    with probe.engine.open(bundle.table, first) as engine:
+        engine.query(query)
+    assert seen[0] == ("open", first.layout_id)
+    assert [name for name, _ in seen].count("open") == 1
+    assert seen[-1][0] == "close"
 
 
 def test_event_log_records_concurrently_without_loss():
-    """Regression: ``EventLog._record`` used to append to a plain list
+    """Regression: ``EventLog`` used to append to a plain list
     with no lock, so concurrent shard threads sharing one observer could
     interleave mid-append and drop records.  With the lock, every record
     from every thread lands exactly once."""
@@ -250,7 +271,7 @@ def test_event_log_records_concurrently_without_loss():
     def hammer(tag: int) -> None:
         barrier.wait()
         for i in range(per_thread):
-            log.on_movement_charged(float(tag * per_thread + i))
+            log.on_event("movement_charged", {"amount": float(tag * per_thread + i)})
 
     threads = [threading.Thread(target=hammer, args=(t,)) for t in range(threads_n)]
     for thread in threads:
@@ -271,7 +292,7 @@ def test_event_log_records_concurrently_without_loss():
         assert own == [float(i) for i in range(lo, hi)]
 
 
-def test_default_hooks_are_noops(tmp_path, bundle, layouts, query):
+def test_default_observer_is_a_noop(tmp_path, bundle, layouts, query):
     first, _ = layouts
     config = EngineConfig(store_root=tmp_path / "s", cleanup_on_close=True)
     # a bare EngineEvents must be attachable without overriding anything

@@ -16,7 +16,6 @@ import pytest
 from repro.layouts import (
     CompiledWorkload,
     ZoneMapIndex,
-    compile_workload,
     compute_reorg_delta,
 )
 from repro.layouts.metadata import (
@@ -246,15 +245,6 @@ def test_empty_sample_and_empty_layout(sorted_metadata):
     assert workload.prune_matrix(empty_layout).shape == (2, 0)
     np.testing.assert_array_equal(
         workload.accessed_fractions(empty_layout), np.zeros(2)
-    )
-
-
-def test_compile_workload_wrapper(sorted_metadata):
-    predicates = [between("x", 0.0, 10.0)]
-    index = ZoneMapIndex(sorted_metadata)
-    np.testing.assert_array_equal(
-        compile_workload(predicates).prune_matrix(index),
-        CompiledWorkload(predicates).prune_matrix(index),
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.layouts import ZoneMapIndex, compile_zone_maps, prune_matrix
+from repro.layouts import ZoneMapIndex
 from repro.layouts.metadata import (
     ColumnStats,
     DISTINCT_SET_CAP,
@@ -106,12 +106,10 @@ def test_prune_matrix_shape_and_rows(sorted_metadata):
     assert matrix.shape == (5, sorted_metadata.num_partitions)
     for row, predicate in zip(matrix, predicates, strict=True):
         np.testing.assert_array_equal(row, scalar_masks(sorted_metadata, predicate)[0])
-    # Module-level convenience wrapper agrees.
-    np.testing.assert_array_equal(matrix, prune_matrix(sorted_metadata, predicates))
 
 
 def test_accessed_fractions_batched_equals_scalar(sorted_metadata):
-    index = compile_zone_maps(sorted_metadata)
+    index = ZoneMapIndex(sorted_metadata)
     predicates = [between("x", float(i), float(i + 7)) for i in range(0, 90, 9)]
     fractions = index.accessed_fractions(predicates)
     expected = np.array([sorted_metadata.accessed_fraction(p) for p in predicates])

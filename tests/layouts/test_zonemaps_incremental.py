@@ -2,7 +2,7 @@
 
 The contract under test: however a reorganization sequence unfolds, an
 index maintained through ``apply_reorg`` must be *behaviorally
-indistinguishable* from ``compile_zone_maps`` on the final metadata —
+indistinguishable* from a fresh ``ZoneMapIndex`` on the final metadata —
 same masks, same fractions, same compiled-workload matrices — while a
 delta must classify exactly the partitions whose content changed.
 
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.layouts import (
     CompiledWorkload,
     ZoneMapIndex,
-    compile_zone_maps,
     compute_reorg_delta,
     compute_reorg_delta_from_assignments,
 )
@@ -73,7 +72,7 @@ def make_table(seed: int, n: int = 400) -> Table:
 
 
 def assert_index_equals_fresh(index: ZoneMapIndex, metadata: LayoutMetadata):
-    fresh = compile_zone_maps(metadata)
+    fresh = ZoneMapIndex(metadata)
     for probe in _PROBES:
         np.testing.assert_array_equal(index._mask(probe, False), fresh._mask(probe, False))
         np.testing.assert_array_equal(index._mask(probe, True), fresh._mask(probe, True))
@@ -91,7 +90,7 @@ class ReorgMachine(RuleBasedStateMachine):
         self.table = make_table(seed)
         self.assignment = self.rng.integers(0, 8, size=self.table.num_rows)
         self.metadata = build_layout_metadata(self.table, self.assignment)
-        self.index = compile_zone_maps(self.metadata)
+        self.index = ZoneMapIndex(self.metadata)
         self.workload = CompiledWorkload(_PROBES)
         self._warm()
 
@@ -119,7 +118,7 @@ class ReorgMachine(RuleBasedStateMachine):
         # Incremental revalidation of the compiled workload matches too.
         revalidated = self.workload.revalidate(new_index, delta, self.prior)
         np.testing.assert_array_equal(
-            revalidated, self.workload.prune_matrix(compile_zone_maps(new_metadata))
+            revalidated, self.workload.prune_matrix(ZoneMapIndex(new_metadata))
         )
         self.assignment = new_assignment
         self.metadata = new_metadata
@@ -238,7 +237,7 @@ class TestDeltaUnits:
 
 
 def assert_index_equals_fresh_x(index, metadata):
-    fresh = compile_zone_maps(metadata)
+    fresh = ZoneMapIndex(metadata)
     probe = between("x", 0.0, 50.0)
     np.testing.assert_array_equal(index._mask(probe, False), fresh._mask(probe, False))
     np.testing.assert_array_equal(index._mask(probe, True), fresh._mask(probe, True))

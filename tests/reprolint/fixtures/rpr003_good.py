@@ -2,8 +2,8 @@
 
 
 class ObservableEngine:
-    def __init__(self, events):
-        self._events = events
+    def __init__(self, observers):
+        self._observers = observers
         self._reset_lifetime_state()
 
     def _reset_lifetime_state(self):
@@ -18,7 +18,7 @@ class ObservableEngine:
     def _bump_epoch(self):
         # Private helper: the emission is transitive through it.
         self._epoch += 1
-        self._events.on_epoch(self._epoch)
+        self._emit("epoch", epoch=self._epoch)
 
     @property
     def plan(self):
@@ -31,3 +31,7 @@ class ObservableEngine:
     def describe(self):
         # Pure read: no tracked writes, no emission required.
         return (self._layout_id, self._epoch)
+
+    def _emit(self, name, **payload):
+        for observer in self._observers:
+            observer.on_event(name, payload)

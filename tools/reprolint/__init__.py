@@ -5,7 +5,7 @@ unit tests can only probe dynamically: every partition-file mutation
 flows through :class:`PartitionStore` staging (the epoch protocol in
 ``docs/architecture.md``), every :class:`ReorgDelta` producer hands its
 delta to ``revalidate``/``apply_reorg``, every engine state transition
-emits a matching :class:`EngineEvents` callback, and the vectorized
+emits a matching engine event, and the vectorized
 kernels stay loop-free and oracle-checked.  ``reprolint`` enforces those
 protocols *statically* — a pure-stdlib AST pass over the source tree, no
 imports of the checked code — so a violation is caught at review time,

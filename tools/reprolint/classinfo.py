@@ -41,7 +41,7 @@ class MethodSummary:
     reads: set[str] = field(default_factory=set)
     #: ``self.<method>(...)`` call targets
     calls: set[str] = field(default_factory=set)
-    #: event hooks fired directly: ``self._events.on_*(...)``
+    #: event names emitted directly: ``self._emit("<name>", ...)``
     emits: set[str] = field(default_factory=set)
     #: two-level calls ``self.<attr>.<method>(...)`` as (attr, method)
     attr_calls: set[tuple[str, str]] = field(default_factory=set)
@@ -87,12 +87,15 @@ class _MethodVisitor(ast.NodeVisitor):
         attr = _self_attr(func)
         if attr is not None:
             self.summary.calls.add(attr)
+            if attr == "_emit" and node.args:
+                name = node.args[0]
+                self.summary.emits.add(
+                    name.value if isinstance(name, ast.Constant) else "?"
+                )
         elif isinstance(func, ast.Attribute):
             owner = _self_attr(func.value)
             if owner is not None:
                 self.summary.attr_calls.add((owner, func.attr))
-                if owner == "_events" and func.attr.startswith("on_"):
-                    self.summary.emits.add(func.attr)
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -150,7 +153,7 @@ def transitive(
 ) -> bool:
     """Whether ``start`` (transitively through self-calls) has ``fact``.
 
-    ``fact`` is one of ``"emits"`` (fires any ``self._events.on_*``),
+    ``fact`` is one of ``"emits"`` (calls ``self._emit(...)``),
     ``"reads:<attr>"`` / ``"writes:<attr>"`` / ``"touches:<attr>"`` for
     attribute access (``touches`` = reads or writes), or
     ``"attrcall:<attr>.<method>"`` for a ``self.<attr>.<method>()`` call.

@@ -8,10 +8,9 @@ One module per protocol family:
 * :mod:`.events` — RPR003 event-emission completeness;
 * :mod:`.vectorized` — RPR005 oracle-coverage registry, RPR006 hot-path
   numpy hygiene;
-* :mod:`.api` — RPR008 public-API consistency;
-* :mod:`.observers` — RPR009 observer-relay completeness.
+* :mod:`.api` — RPR008 public-API consistency.
 """
 
-from . import api, deltas, events, observers, storage, vectorized
+from . import api, deltas, events, storage, vectorized
 
-__all__ = ["api", "deltas", "events", "observers", "storage", "vectorized"]
+__all__ = ["api", "deltas", "events", "storage", "vectorized"]

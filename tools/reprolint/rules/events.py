@@ -1,15 +1,15 @@
 """Event-protocol rule: engine state transitions must emit their event.
 
-The :class:`EngineEvents` stream is load-bearing: the ordering tests,
-the telemetry examples and the ROADMAP's replicated-epoch follower all
+The engine's event stream is load-bearing: the ordering tests, the
+telemetry examples and the ROADMAP's replicated-epoch follower all
 assume that *every* state transition the engine performs is observable —
 a follower replaying the stream must land in the leader's state.  A
 public engine method that mutates lifetime state without (transitively)
-firing a ``self._events.on_*`` hook breaks that contract invisibly: no
-unit test fails, the follower just drifts.
+calling ``self._emit(...)`` breaks that contract invisibly: no unit test
+fails, the follower just drifts.
 
-RPR003 checks it statically.  For every class that fires events (any
-``self._events.on_*`` call), the tracked state set is the attributes the
+RPR003 checks it statically.  For every class that emits events (any
+``self._emit(...)`` call), the tracked state set is the attributes the
 class's ``_reset_lifetime_state`` method assigns (the engine's own
 definition of "lifetime state"), falling back to underscore attributes
 assigned in ``__init__``.  Every public method or property setter that
@@ -30,14 +30,14 @@ __all__ = ["EventEmissionRule"]
 
 @register
 class EventEmissionRule(Rule):
-    """RPR003: public state transitions must fire an EngineEvents hook."""
+    """RPR003: public state transitions must emit an engine event."""
 
     rule_id = "RPR003"
     name = "event-emission"
     description = (
-        "In a class firing EngineEvents (self._events.on_*), every "
-        "public method or setter that mutates lifetime state must "
-        "transitively emit an event."
+        "In a class emitting engine events (self._emit(name, ...)), "
+        "every public method or setter that mutates lifetime state "
+        "must transitively emit an event."
     )
 
     #: the method whose assignments define the tracked lifetime state
@@ -57,7 +57,7 @@ class EventEmissionRule(Rule):
                 tracked = {a for a in definition.writes if a.startswith("_")}
             else:
                 tracked = summary.init_attrs()
-            tracked.discard("_events")
+            tracked.discard("_observers")
             if not tracked:
                 continue
             for name, method in summary.methods.items():
@@ -76,8 +76,8 @@ class EventEmissionRule(Rule):
                         method.node,
                         f"{summary.name}.{name} mutates lifetime state "
                         f"({', '.join(sorted(mutated))}) without emitting any "
-                        "EngineEvents hook; the event stream no longer "
-                        "replays to this state",
+                        "event; the event stream no longer replays to "
+                        "this state",
                     )
                 )
         return findings
