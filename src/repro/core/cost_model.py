@@ -37,23 +37,15 @@ Four evaluation tiers back the same numbers, widest scope first:
   falls back to it per node for predicates it cannot lower, and the test
   suite asserts exact agreement between all tiers.
 
-Every cached cost keeps its may-match mask alongside the float (a bounded
-per-layout store), which is what makes reorganizations cheap:
-:meth:`CostEvaluator.revalidate` consumes a
-:class:`~repro.layouts.zonemaps.ReorgDelta`, carries the per-layout index
-forward with :meth:`ZoneMapIndex.apply_reorg`, migrates every stored mask
-by copying carried partitions' cells, and re-runs zone-map kernels only on
-the partitions the reorg touched — a surgical cost-cache revalidation
-instead of dropping the layout's cache wholesale via :meth:`forget`.
-Both physical producers of deltas drive it: :class:`IncrementalStore`
-revalidates on every streaming append, and the pipelined reorganization
-(:class:`~repro.core.reorg_scheduler.ReorgScheduler`) feeds each movement
-step's append-only partial commit through a *shadow* evaluator's
-``revalidate`` while the move is still in flight — compiling the new
-layout's index incrementally without the serving evaluator ever pricing
-the under-construction snapshot — and the final commit :meth:`adopt`\\ s
-the warm state in one move, so the new layout's index and caches are
-ready the instant the epoch flips.
+Everything cached for a layout id — the compiled index, the query costs —
+is derived from one metadata *snapshot object* and is dropped when a
+different snapshot is registered for that id
+(:meth:`CostEvaluator.register_metadata`); nothing is migrated across a
+physical mutation.  ``docs/architecture.md`` ("Cache freshness") states
+the rule and who calls it: :class:`IncrementalStore` on every append and
+consolidation, :class:`~repro.core.reorg_scheduler.ReorgScheduler` at the
+final commit of a pipelined move — never mid-flight, so the serving
+evaluator never prices an under-construction snapshot.
 """
 
 from __future__ import annotations
@@ -67,7 +59,7 @@ from ..layouts.base import DataLayout
 from ..layouts.metadata import LayoutMetadata
 from ..layouts.stacked import StackedStateSpace
 from ..layouts.workload_compiler import CompiledWorkload
-from ..layouts.zonemaps import ReorgDelta, ZoneMapIndex, _fractions_from_matrix
+from ..layouts.zonemaps import ZoneMapIndex, _fractions_from_matrix
 from ..utils import lru_get, lru_put
 from ..queries.query import Query
 from typing import TYPE_CHECKING
@@ -102,11 +94,6 @@ class CostEvaluator:
     #: same sample against many layouts, but samples churn as the stream
     #: drifts — keep the recent ones, never grow without limit.
     COMPILED_CACHE_CAP = 32
-    #: Per-layout may-match mask store bound.  Masks ride along with the
-    #: cached cost floats so :meth:`revalidate` can migrate them across a
-    #: reorganization; entries evicted here simply lose that fast path
-    #: (their cost float is dropped at the next reorg and re-derived).
-    MASK_STORE_CAP = 1024
 
     def __init__(self, table: Table | None):
         #: the priced table, or ``None`` for a metadata-only evaluator
@@ -118,8 +105,6 @@ class CostEvaluator:
         self._query_costs: dict[str, dict[tuple, float]] = {}
         self._compiled: dict[tuple, CompiledWorkload] = {}
         self._stacked = StackedStateSpace()
-        #: per-layout LRU of ``key -> (predicate, may-match mask)``
-        self._masks: dict[str, dict[tuple, tuple]] = {}
 
     def metadata(self, layout: DataLayout) -> LayoutMetadata:
         """Layout's partition metadata on the evaluator's table (cached)."""
@@ -152,40 +137,16 @@ class CostEvaluator:
         know the *actual* on-disk partition statistics, which evolve under
         a fixed layout id; registering them here makes every costing path
         use the catalog's view instead of re-deriving assignments from the
-        layout object.  Re-registering a different snapshot drops the
-        layout's cached state — callers with a
-        :class:`~repro.layouts.zonemaps.ReorgDelta` should call
-        :meth:`revalidate` instead, which migrates the caches.
+        layout object.  Registering a different snapshot object drops the
+        compiled index and every cost cached against the old one; a slab
+        the layout already holds in the stacked state space stays and is
+        refilled in place the next time the layout is priced.
         """
         if self._metadata.get(layout_id) is metadata:
             return
-        self.forget(layout_id)
+        self._zonemaps.pop(layout_id, None)
+        self._query_costs.pop(layout_id, None)
         self._metadata[layout_id] = metadata
-
-    def adopt(self, other: CostEvaluator, layout_id: str) -> None:
-        """Transplant ``layout_id``'s cached state from another evaluator.
-
-        The reorg scheduler warms a *shadow* evaluator during a pipelined
-        move (each partial commit revalidates the shadow, compiling the
-        new layout's zone maps incrementally) so that this evaluator's
-        pricing of the target stays untouched — and correct — while the
-        move is in flight.  At the final commit the shadow's state
-        (metadata, compiled index, masks, cached costs) is adopted here
-        in one move, replacing whatever pre-move estimate this evaluator
-        held.  Both evaluators must price the same table.
-        """
-        if other.table is not self.table:
-            raise ValueError("cannot adopt state priced against a different table")
-        metadata = other._metadata.get(layout_id)
-        if metadata is None:
-            return  # nothing to adopt; leave existing state untouched
-        self.forget(layout_id)
-        self._metadata[layout_id] = metadata
-        index = other._zonemaps.get(layout_id)
-        if index is not None:
-            self._zonemaps[layout_id] = index
-        self._query_costs[layout_id] = other._query_costs.pop(layout_id, {})
-        self._masks[layout_id] = other._masks.pop(layout_id, {})
 
     def zone_maps(self, layout: DataLayout) -> ZoneMapIndex:
         """Layout's compiled zone-map index (cached)."""
@@ -195,28 +156,14 @@ class CostEvaluator:
             self._zonemaps[layout.layout_id] = cached
         return cached
 
-    def _store_mask(self, layout_id: str, key: tuple, predicate, mask: np.ndarray) -> None:
-        store = self._masks.setdefault(layout_id, {})
-        lru_put(store, key, (predicate, mask), self.MASK_STORE_CAP)
-
-    @staticmethod
-    def _fraction(mask: np.ndarray, index: ZoneMapIndex) -> float:
-        """``c(s, q)`` from a may-match mask; same bits as the oracle."""
-        if index.total_rows == 0.0:
-            return 0.0
-        return float(index.row_counts @ mask) / index.total_rows
-
     def query_cost(self, layout: DataLayout, query: Query) -> float:
         """Fraction of rows accessed by ``query`` under ``layout``; in [0, 1]."""
         costs = self._query_costs.setdefault(layout.layout_id, {})
         key = query.cache_key()
         cached = costs.get(key)
         if cached is None:
-            index = self.zone_maps(layout)
-            mask = index._mask(query.predicate, False)
-            cached = self._fraction(mask, index)
+            cached = self.zone_maps(layout).accessed_fraction(query.predicate)
             costs[key] = cached
-            self._store_mask(layout.layout_id, key, query.predicate, mask)
         return cached
 
     def compiled_workload(
@@ -276,9 +223,7 @@ class CostEvaluator:
             compiled = self.compiled_workload(predicates, key=tuple(missing))
             index = self.zone_maps(layout)
             matrix = compiled.prune_matrix(index)
-            priced = self._price_sample(
-                layout.layout_id, matrix, missing, predicates, index
-            )
+            priced = self._price_sample(layout.layout_id, matrix, missing, index)
             for key, positions in missing.items():
                 out[positions] = priced[key]
         return out
@@ -347,9 +292,7 @@ class CostEvaluator:
                     layout.layout_id,
                     matrix,
                     missing_union,
-                    predicates,
                     index,
-                    only={keys[col] for col in missing_positions},
                     fractions=None if fused is None else fused[position],
                 )
                 for col in missing_positions:
@@ -361,17 +304,14 @@ class CostEvaluator:
         layout_id: str,
         matrix: np.ndarray,
         missing_union: dict,
-        predicates: Sequence,
         index: ZoneMapIndex,
-        only: set | None = None,
         fractions: np.ndarray | None = None,
     ) -> dict:
-        """Fill one layout's cost + mask caches from its may-match matrix.
+        """Fill one layout's cost cache from its may-match matrix.
 
-        ``only`` restricts the writes to that subset of ``missing_union``
-        (the keys this layout actually missed) — keys it already holds
-        would be rewritten with identical values, churning the mask LRU
-        for nothing.  ``fractions`` (one row of the stacked fused
+        ``missing_union`` may hold keys this layout already prices (another
+        layout of the batch missed them); those are rewritten with the
+        identical float.  ``fractions`` (one row of the stacked fused
         contraction, bit-for-bit the per-layout arithmetic) skips the
         per-layout matvec when the caller already contracted the tensor.
         """
@@ -381,12 +321,7 @@ class CostEvaluator:
             )
         costs = self._query_costs[layout_id]
         for position, key in enumerate(missing_union):
-            if only is not None and key not in only:
-                continue
             costs[key] = float(fractions[position])
-            self._store_mask(
-                layout_id, key, predicates[position], matrix[position].copy()
-            )
         return costs
 
     def costs_for_query(
@@ -410,71 +345,11 @@ class CostEvaluator:
             return 0.0
         return float(self.cost_vector(layout, queries).mean())
 
-    # -------------------------------------------------- incremental maintenance
-    def revalidate(self, layout_id: str, delta: ReorgDelta) -> int:
-        """Carry a layout's cached state across a reorganization.
-
-        ``delta`` must have been computed against the metadata object this
-        evaluator holds for ``layout_id`` (otherwise the cached state
-        cannot be trusted and this degrades to :meth:`forget`).  The
-        zone-map index is migrated with :meth:`ZoneMapIndex.apply_reorg`,
-        the stacked slab is refreshed in place, and every cached
-        (query, cost) entry whose may-match mask is stored is re-priced by
-        copying the carried partitions' mask cells and running zone-map
-        kernels *only* on the partitions the reorg touched.  Cost entries
-        whose mask was evicted cannot be migrated and are dropped
-        (re-derived lazily) — the surgical alternative to forgetting the
-        whole layout.  Returns the number of migrated query entries.
-
-        Called once per reorganization by streaming appends
-        (:meth:`IncrementalStore.ingest`) and once per *movement step* by
-        the async pipeline: :meth:`ReorgScheduler.tick` chains the
-        partial commits' append-only deltas through here, so each call's
-        kernel work is bounded by one step's partition budget.
-        """
-        old_index = self._zonemaps.get(layout_id)
-        if old_index is None or old_index.metadata is not delta.old_metadata:
-            # Nothing carryable (no compiled index, or it was built from a
-            # different snapshot): drop the caches but stay registered on
-            # the post-reorg metadata so pricing resumes from the truth.
-            self.forget(layout_id)
-            self._metadata[layout_id] = delta.new_metadata
-            return 0
-        new_index = old_index.apply_reorg(delta)
-        self._metadata[layout_id] = delta.new_metadata
-        self._zonemaps[layout_id] = new_index
-        if layout_id in self._stacked:
-            self._stacked.update_layout(layout_id, new_index)
-        masks = self._masks.get(layout_id) or {}
-        costs = self._query_costs.setdefault(layout_id, {})
-        for key in [key for key in costs if key not in masks]:
-            del costs[key]
-        if not masks:
-            return 0
-        changed = np.asarray(delta.changed, dtype=np.int64)
-        changed_blocks = None
-        if len(changed):
-            predicates = [predicate for predicate, _ in masks.values()]
-            compiled = self.compiled_workload(predicates, key=tuple(masks))
-            changed_blocks = compiled._evaluate(new_index, False, changed)
-        for position, (key, (predicate, mask)) in enumerate(list(masks.items())):
-            migrated = np.empty(new_index.num_partitions, dtype=bool)
-            migrated[delta.carried_new] = mask[delta.carried_old]
-            if changed_blocks is not None:
-                migrated[changed] = changed_blocks[position]
-            masks[key] = (predicate, migrated)
-            # Migrated masks are bit-for-bit the fresh masks, so the dot
-            # below re-derives the exact fresh float; kernel work stayed
-            # confined to the changed partitions.
-            costs[key] = self._fraction(migrated, new_index)
-        return len(masks)
-
     def forget(self, layout_id: str) -> None:
         """Drop cached state for a retired layout to bound memory: O(1)."""
         self._metadata.pop(layout_id, None)
         self._zonemaps.pop(layout_id, None)
         self._query_costs.pop(layout_id, None)
-        self._masks.pop(layout_id, None)
         self._stacked.discard(layout_id)
 
     def cache_sizes(self) -> tuple[int, int]:

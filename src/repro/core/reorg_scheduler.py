@@ -1,24 +1,20 @@
 """Reorg scheduler: drive a pipelined reorganization behind query serving.
 
 :class:`~repro.storage.async_reorg.AsyncReorgPipeline` knows how to move
-data in bounded steps; this module decides *when* the steps run and keeps
-every cache that mirrors the physical state consistent with each committed
-epoch.  One :meth:`ReorgScheduler.tick` advances the pipeline by exactly one
-movement step and then:
+data in bounded steps; this module decides *when* the steps run.  One
+:meth:`ReorgScheduler.tick` advances the pipeline by exactly one movement
+step and charges the movement budget through a
+:class:`~repro.core.dumts.MovementAmortizer`, so the per-step installments
+sum to exactly the α the D-UMTS decision was charged — pipelining never
+changes the competitive-ratio ledger.
 
-* feeds the step's append-only :class:`~repro.storage.async_reorg.PartialCommit`
-  through :meth:`CostEvaluator.revalidate` — the zone-map index, the stacked
-  slab (:meth:`StackedStateSpace.update_layout` via ``revalidate``), and any
-  cached cost masks migrate with kernel work confined to the partitions the
-  step wrote (the stacked-tensor columns of untouched partitions are carried,
-  never recomputed);
-* migrates the :class:`~repro.storage.executor.QueryExecutor`'s compiled
-  plans the same way (:meth:`QueryExecutor.apply_reorg`), so the first query
-  after the epoch flip plans against an already-warm index;
-* charges the movement budget through a
-  :class:`~repro.core.dumts.MovementAmortizer`, so the per-step installments
-  sum to exactly the α the D-UMTS decision was charged — pipelining never
-  changes the competitive-ratio ledger.
+Mid-flight the attached caches are not touched: the old epoch keeps being
+planned and priced from its own snapshot, and the target keeps whatever
+price the evaluator held for it before the move.  At the final commit the
+scheduler applies the cache-freshness rule (``docs/architecture.md``): the
+evaluator registers the committed snapshot under the target id — the
+physical truth replaces any pre-move estimate — and the retired id is
+forgotten on evaluator and executor.
 
 Between ticks the caller keeps serving queries with :meth:`serve`, which
 always executes against :attr:`visible` — the old epoch until the final
@@ -36,7 +32,7 @@ from dataclasses import dataclass
 
 from ..layouts.base import DataLayout
 from ..queries.query import Query
-from ..storage.async_reorg import AsyncReorgPipeline, MovementStep, PartialCommit
+from ..storage.async_reorg import AsyncReorgPipeline, MovementStep
 from ..storage.executor import QueryExecutor, QueryResult
 from ..storage.partition import StoredLayout
 from ..storage.partition_store import PartitionStore
@@ -98,12 +94,6 @@ class ReorgScheduler:
         self.mover_threads = int(mover_threads)
         self._pipeline: AsyncReorgPipeline | None = None
         self._amortizer: MovementAmortizer | None = None
-        self._old_layout_id: str | None = None
-        self._same_id = False
-        #: shadow evaluator warmed by partial commits during the flight
-        #: (the attached evaluator is never touched until the final
-        #: commit, so mid-flight decision pricing stays correct)
-        self._shadow: CostEvaluator | None = None
         self._on_complete: Callable[[StoredLayout, ReorgResult], None] | None = None
         self._on_abort: Callable[[], None] | None = None
         self.reorgs_completed = 0
@@ -132,22 +122,14 @@ class ReorgScheduler:
         stored: StoredLayout,
         new_layout: DataLayout,
         schema: Schema,
-        keep_old: bool = False,
         on_complete: Callable[[StoredLayout, ReorgResult], None] | None = None,
         on_abort: Callable[[], None] | None = None,
     ) -> AsyncReorgPipeline:
         """Begin a pipelined reorganization of ``stored`` into ``new_layout``.
 
         Queries served through :meth:`serve` keep reading ``stored`` until
-        the final commit.  With a different target layout id, a *shadow*
-        evaluator is chained onto the pipeline's (empty) first snapshot
-        and migrated forward on every partial commit — the attached
-        evaluator itself is never touched mid-flight, so decision-layer
-        pricing of the target (whether cached or derived on demand) stays
-        correct while the move runs; the final commit adopts the shadow's
-        warm state in one move.  A same-id repartitioning defers all
-        cache migration to the final commit (the old epoch's caches must
-        keep serving queries mid-flight).
+        the final commit, and neither attached cache hears of the move
+        before then (see the module notes).
         """
         if self.active:
             raise RuntimeError("a reorganization is already in flight")
@@ -163,29 +145,12 @@ class ReorgScheduler:
             new_layout,
             schema,
             step_partitions=self.step_partitions,
-            keep_old=keep_old,
             mover_threads=self.mover_threads,
         )
         self._pipeline = pipeline
-        self._old_layout_id = stored.layout.layout_id
-        self._same_id = stored.layout.layout_id == new_layout.layout_id
         self._on_complete = on_complete
         self._on_abort = on_abort
         self._amortizer = amortizer
-        self._shadow = None
-        if not self._same_id:
-            if self.evaluator is not None:
-                # Chain a shadow onto the pipeline's (empty) first
-                # snapshot so each partial delta migrates — compiling the
-                # new layout's zone maps incrementally — without the main
-                # evaluator ever seeing the under-construction snapshot.
-                self._shadow = CostEvaluator(self.evaluator.table)
-                self._shadow.register_metadata(new_layout.layout_id, pipeline.snapshot)
-                self._shadow.zone_maps(new_layout)
-            if self.executor is not None:
-                self.executor.prewarm(
-                    StoredLayout(layout=new_layout, metadata=pipeline.snapshot, partitions=())
-                )
         return pipeline
 
     # ------------------------------------------------------------------- serve
@@ -199,17 +164,14 @@ class ReorgScheduler:
     def tick(self) -> ScheduledStep | None:
         """Advance the in-flight reorganization by one movement step.
 
-        Returns ``None`` when nothing is in flight.  On a write step the
-        partial commit is fed through the attached caches; on the final
-        commit the visible snapshot flips, the retired layout's executor
-        plans are dropped, and any ``on_complete`` callback fires.
+        Returns ``None`` when nothing is in flight.  On the final commit
+        the visible snapshot flips, the attached caches move to the new
+        epoch, and any ``on_complete`` callback fires.
         """
         if not self.active:
             return None
         pipeline = self._pipeline
         step = pipeline.step()
-        if step.partial is not None and not self._same_id:
-            self._commit_partial(step.partial)
         charge = 0.0
         if self._amortizer is not None:
             charge = self._amortizer.charge(step.completed_fraction)
@@ -231,11 +193,11 @@ class ReorgScheduler:
     def abort(self) -> float:
         """Abandon an in-flight reorganization without committing it.
 
-        The staged buffer is discarded, any caches seeded for the target
-        layout are dropped, and the visible snapshot remains the old epoch
-        (which the pipeline never touched) — after which :meth:`start` can
-        be called again.  Returns the movement budget to *refund*: the
-        installments already emitted for the abandoned move (a retried
+        The staged buffer is discarded and the visible snapshot remains the
+        old epoch (which the pipeline never touched, and which the attached
+        caches never left) — after which :meth:`start` can be called again.
+        Returns the movement budget to *refund*: the installments already
+        emitted for the abandoned move (a retried
         move charges its full α afresh, so without the refund a ledger
         summing per-step charges would over-count the aborted attempt).
         An ``on_abort`` callback supplied to :meth:`start` fires so owners
@@ -245,20 +207,10 @@ class ReorgScheduler:
         if not self.active:
             return 0.0
         pipeline, self._pipeline = self._pipeline, None
-        target_id = pipeline.new_layout.layout_id
-        self.store.abort_staging(target_id)
-        # The main evaluator was never touched mid-flight; only the
-        # shadow and the executor's staged plans need discarding.
-        self._shadow = None
-        if not self._same_id and self.executor is not None:
-            self.executor.forget(target_id)
+        self.store.abort_staging(pipeline.new_layout.layout_id)
         refund = self._amortizer.charged if self._amortizer is not None else 0.0
         self._amortizer = None
         self._on_complete = None
-        # Clear the abandoned flight's identity so nothing started later
-        # can observe stale source/same-id flags.
-        self._old_layout_id = None
-        self._same_id = False
         if self._on_abort is not None:
             callback, self._on_abort = self._on_abort, None
             callback()
@@ -272,33 +224,17 @@ class ReorgScheduler:
         return self._amortizer.charged
 
     # ---------------------------------------------------------------- internal
-    def _commit_partial(self, partial: PartialCommit) -> None:
-        layout_id = partial.stored.layout.layout_id
-        if self._shadow is not None:
-            self._shadow.revalidate(layout_id, partial.delta)
-        if self.executor is not None:
-            self.executor.apply_reorg(layout_id, partial.stored, partial.delta)
-
     def _commit_final(self) -> None:
         new_stored, result = self._pipeline.result
-        if self._same_id:
-            # The old epoch's caches served queries until the flip; migrate
-            # them across the whole reorganization in one revalidation.
-            if self.evaluator is not None and result.delta is not None:
-                self.evaluator.revalidate(self._old_layout_id, result.delta)
+        target_id = new_stored.layout.layout_id
+        retired_id = self._pipeline.old_stored.layout.layout_id
+        if self.evaluator is not None:
+            self.evaluator.register_metadata(target_id, new_stored.metadata)
+        if retired_id != target_id:  # a same-id rewrite retires nothing
+            if self.evaluator is not None:
+                self.evaluator.forget(retired_id)
             if self.executor is not None:
-                self.executor.apply_reorg(self._old_layout_id, new_stored, result.delta)
-        else:
-            if self.evaluator is not None and self._shadow is not None:
-                # Swap the evaluator onto the physical truth: the shadow's
-                # incrementally compiled index (and anything priced on it)
-                # replaces whatever pre-move estimate was cached.
-                self.evaluator.adopt(self._shadow, new_stored.layout.layout_id)
-                self._shadow = None
-            if self.executor is not None:
-                # The new layout's plans are already warm from the partial
-                # commits; only the retired layout's files are gone.
-                self.executor.forget(self._old_layout_id)
+                self.executor.forget(retired_id)
         self.reorgs_completed += 1
         self._on_abort = None
         if self._on_complete is not None:

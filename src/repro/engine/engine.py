@@ -192,9 +192,8 @@ class LayoutEngine:
         """Swap the policy (drop-in, even on a live engine); binds if open.
 
         Swapping a ``wants_costs`` policy onto a live engine also attaches
-        the evaluator to the scheduler/ingest wiring, so incremental cost
-        maintenance starts from the current snapshot instead of degrading
-        to per-batch cache wipes.
+        the evaluator to the scheduler/ingest wiring, so every later
+        commit and append registers its snapshot there.
         """
         with self._serving_lock:
             self._policy = policy
@@ -211,9 +210,9 @@ class LayoutEngine:
     def _wire_costs(self) -> None:
         """Attach the cost evaluator to whatever wiring exists (idempotent).
 
-        The scheduler then chains a shadow evaluator through pipelined
-        commits, and the incremental store revalidates cached prices on
-        every append — the machinery ``wants_costs`` policies rely on.
+        The scheduler then registers each committed snapshot, and the
+        incremental store each appended one — the cache-freshness rule of
+        ``docs/architecture.md`` that ``wants_costs`` policies rely on.
         """
         evaluator = self.evaluator
         if self._scheduler is not None and self._scheduler.evaluator is None:
@@ -649,10 +648,12 @@ class LayoutEngine:
         assert self.store is not None and self.executor is not None
         new_stored, result = reorganize(self.store, self._stored, target, self._schema)
         self._charge_alpha()
-        # The old files are gone from disk; its compiled index is carried
-        # forward incrementally for the partitions the reorg left
-        # untouched (falls back to lazy recompile).
-        self.executor.apply_reorg(source.layout_id, new_stored, result.delta)
+        # Cache freshness, as the scheduler does at a pipelined commit: the
+        # committed snapshot is the target's truth, the source is retired.
+        if self._evaluator is not None:
+            self._evaluator.register_metadata(target.layout_id, new_stored.metadata)
+            self._evaluator.forget(source.layout_id)
+        self.executor.forget(source.layout_id)
         self._stored = new_stored
         self._committed(source.layout_id, target.layout_id, result)
 
@@ -666,12 +667,12 @@ class LayoutEngine:
             self._incremental.consolidate_async(target, self._scheduler)
             self._inflight = (source.layout_id, target.layout_id)
             return
+        # consolidate() moves the wired evaluator onto the new snapshot.
         result = self._incremental.consolidate(target)
         self._charge_alpha()
         assert self.executor is not None  # open() created it
-        self.executor.apply_reorg(
-            source.layout_id, self._incremental.stored(), result.delta
-        )
+        if source.layout_id != target.layout_id:
+            self.executor.forget(source.layout_id)
         self._committed(source.layout_id, target.layout_id, result)
 
     def _charge_alpha(self) -> None:

@@ -225,11 +225,9 @@ def _replay_physical_direct(
                     reorg_seconds += reorg_result.elapsed_seconds
                     if alpha is not None:
                         movement_charged += alpha
-                    # The old files are gone from disk; its compiled index
-                    # is carried forward incrementally for the partitions
-                    # the reorg left untouched (falls back to lazy
-                    # recompile).
-                    executor.apply_reorg(current_id, stored, reorg_result.delta)
+                    # The old files are gone from disk; release its
+                    # compiled index (the new one compiles on first use).
+                    executor.forget(current_id)
                 num_switches += 1
                 current_id = target_id
             if scheduler is not None and scheduler.pipeline is not None:

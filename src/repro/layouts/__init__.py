@@ -18,12 +18,7 @@ from .qdtree import QdTreeBuilder, QdTreeLayout, QdTreeNode, extract_cut_predica
 from .range_layout import RangeLayout, RangeLayoutBuilder, equal_frequency_boundaries
 from .stacked import StackedStateSpace
 from .workload_compiler import CompiledWorkload
-from .zonemaps import (
-    ReorgDelta,
-    ZoneMapIndex,
-    compute_reorg_delta,
-    compute_reorg_delta_from_assignments,
-)
+from .zonemaps import ZoneMapIndex
 from .zorder import ZOrderLayout, ZOrderLayoutBuilder, morton_interleave
 
 __all__ = [
@@ -40,7 +35,6 @@ __all__ = [
     "QdTreeNode",
     "RangeLayout",
     "RangeLayoutBuilder",
-    "ReorgDelta",
     "RoundRobinLayout",
     "RoundRobinLayoutBuilder",
     "StackedStateSpace",
@@ -49,8 +43,6 @@ __all__ = [
     "ZoneMapIndex",
     "build_layout_metadata",
     "build_partition_metadata",
-    "compute_reorg_delta",
-    "compute_reorg_delta_from_assignments",
     "equal_frequency_boundaries",
     "eval_skipped",
     "extract_cut_predicates",

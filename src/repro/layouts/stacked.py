@@ -36,8 +36,9 @@ Fallback tiers (widest to narrowest scope):
    unsupported nodes, lossy constants) AND-fold per layout through
    ``ZoneMapIndex._mask``, exactly as in the per-layout compiled pass.
 
-Incremental maintenance on the layout axis mirrors the partition-axis
-contract of :meth:`ZoneMapIndex.apply_reorg`:
+Maintenance on the layout axis is incremental (the stack outlives any one
+layout; a layout's :class:`ZoneMapIndex` is never updated, only replaced —
+see ``docs/architecture.md``, "Cache freshness"):
 
 * :meth:`add_layout` appends a slab to every already-stacked column
   (growing the shared value union append-only and the padded partition
@@ -45,15 +46,11 @@ contract of :meth:`ZoneMapIndex.apply_reorg`:
 * :meth:`remove_layout` tombstones the slab — the slot is excluded from
   outputs and validity-masked out of the kernel fast-path flags — and the
   arrays are compacted only once dead slabs outnumber live ones;
-* :meth:`update_layout` refreshes one slab in place after a
-  reorganization (the caller typically carries the per-layout index
-  forward with ``ZoneMapIndex.apply_reorg`` first, so refilling the slab
-  is pure array copying, not recompilation).  This is how
-  ``CostEvaluator.revalidate`` keeps the stack current — once per reorg
-  for synchronous rewrites and streaming appends, and once per *movement
-  step* under the pipelined reorganization, where each partial commit
-  carries the stacked-tensor columns of every untouched partition and
-  recompiles only the partitions that step wrote.
+* :meth:`update_layout` refills one slab in place from a replacement
+  index.  ``CostEvaluator`` calls it when a layout id that is already
+  stacked is priced again after its metadata snapshot was replaced (a
+  streaming append under a fixed id, a same-id consolidation), so the
+  slot is reused instead of tombstoned and re-added.
 
 Padded cells (beyond a layout's partition count) and tombstoned slabs
 hold unspecified values; every public entry point slices them away, and
@@ -265,11 +262,10 @@ class StackedStateSpace:
             self.remove_layout(layout_id)
 
     def update_layout(self, layout_id: str, index: ZoneMapIndex) -> None:
-        """Refresh one slab in place after a reorganization.
+        """Refill one slab in place from the layout's replacement index.
 
-        ``index`` is the layout's post-reorg zone-map index — typically
-        ``old_index.apply_reorg(delta)``, so already-compiled columns are
-        carried and refilling the slab is array copying only.
+        ``index`` was compiled from the layout's new metadata snapshot;
+        the columns the stack mirrors compile on first reference here.
         """
         slot = self._slots[layout_id]
         if index.num_partitions > self._p_cap:
@@ -378,8 +374,7 @@ class StackedStateSpace:
         """Map one layout's value dictionary into the shared union.
 
         The union only ever grows (append-only), so bit positions written
-        by earlier slabs stay valid — the same invariant
-        :meth:`ZoneMapIndex.apply_reorg` maintains on the partition axis.
+        by earlier slabs stay valid.
         """
         union = column.value_index
         out = np.empty(len(value_index), dtype=np.int64)
@@ -660,7 +655,6 @@ class StackedStateSpace:
             if fallback is not None and slot not in fallback:
                 continue
             base = slot * self._p_cap
-            num = index.num_partitions
             compiled._group_matrix(
-                group, index, want_all, num, None, out[:, base : base + num]
+                group, index, want_all, out[:, base : base + index.num_partitions]
             )

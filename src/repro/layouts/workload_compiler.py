@@ -42,12 +42,6 @@ Conjunction semantics make the reduction exact: for ``And`` nodes both
 AND, so batching the supported conjuncts and folding residue conjuncts
 in afterwards loses nothing.
 
-The compiled object also supports *incremental revalidation*: after a
-reorganization described by a :class:`~repro.layouts.zonemaps.ReorgDelta`,
-:meth:`CompiledWorkload.revalidate` copies matrix columns for carried
-partitions from the prior result and re-evaluates only the changed
-partitions' columns.
-
 A compiled workload is the middle tier of a three-tier fallback chain,
 widest scope first:
 
@@ -85,33 +79,16 @@ from ..queries.predicates import (
     Predicate,
 )
 from .zonemaps import (
-    ReorgDelta,
     ZoneMapIndex,
     _ColumnZones,
     _fractions_from_matrix,
+    _maybe_exact_float,
     _pack_value_set,
     _Unsupported,
     _WORD_BITS,
 )
 
 __all__ = ["CompiledWorkload"]
-
-
-def _maybe_exact_float(value) -> float | None:
-    """``value`` as an exactly-representable float64, else None.
-
-    Non-raising twin of :func:`repro.layouts.zonemaps._exact_float` for
-    the compile loop, where unsupported constants are the common,
-    expected branch rather than an exception.
-    """
-    if hasattr(value, "item"):
-        value = value.item()
-    try:
-        result = float(value)
-    except (TypeError, ValueError):
-        return None
-    # NaN also lands here (nan != nan): NaN constants take the residue path.
-    return result if result == value else None
 
 
 class _AtomGroup:
@@ -190,18 +167,6 @@ class _AtomGroup:
             self.inverse = None
         else:
             self.inverse = np.asarray(inverse, dtype=np.int64)
-
-
-def _sliced_zones(zones: _ColumnZones, positions: np.ndarray) -> _ColumnZones:
-    """Restrict a column's zone arrays to a subset of partition positions."""
-    return _ColumnZones(
-        zones.mins[positions],
-        zones.maxs[positions],
-        zones.has_stats[positions],
-        zones.has_distinct[positions],
-        None if zones.bitmap is None else zones.bitmap[positions],
-        zones.value_index,
-    )
 
 
 class CompiledWorkload:
@@ -361,42 +326,8 @@ class CompiledWorkload:
             self.prune_matrix(index), index.row_counts, index.total_rows
         )
 
-    def revalidate(
-        self,
-        index: ZoneMapIndex,
-        delta: ReorgDelta,
-        prior: np.ndarray,
-        want_all: bool = False,
-    ) -> np.ndarray:
-        """Update a previously computed matrix after a reorganization.
-
-        ``prior`` must be the matrix this workload produced against the
-        pre-reorg index (with the same ``want_all``); ``index`` is the
-        post-reorg index (typically ``old_index.apply_reorg(delta)``).
-        Columns of carried partitions are copied; only the changed
-        partitions are re-evaluated.
-        """
-        if prior.shape != (self.num_queries, len(delta.old_metadata.partitions)):
-            raise ValueError(
-                f"prior matrix shape {prior.shape} does not match "
-                f"({self.num_queries}, {len(delta.old_metadata.partitions)})"
-            )
-        if index.metadata is not delta.new_metadata:
-            raise ValueError("index was not built from the delta's new metadata")
-        out = np.empty((self.num_queries, index.num_partitions), dtype=bool)
-        out[:, delta.carried_new] = prior[:, delta.carried_old]
-        if len(delta.changed):
-            positions = np.asarray(delta.changed, dtype=np.int64)
-            out[:, positions] = self._evaluate(index, want_all, positions)
-        return out
-
-    def _evaluate(
-        self,
-        index: ZoneMapIndex,
-        want_all: bool,
-        positions: np.ndarray | None = None,
-    ) -> np.ndarray:
-        num_cols = index.num_partitions if positions is None else len(positions)
+    def _evaluate(self, index: ZoneMapIndex, want_all: bool) -> np.ndarray:
+        num_cols = index.num_partitions
         if self._num_atoms:
             # _plan_reduction pinned both row maps when atoms exist.
             assert self._base_rows is not None and self._target_rows is not None
@@ -407,12 +338,7 @@ class CompiledWorkload:
             for group in self._groups:
                 rows = len(group.unodes)
                 self._group_matrix(
-                    group,
-                    index,
-                    want_all,
-                    num_cols,
-                    positions,
-                    stacked[offset : offset + rows],
+                    group, index, want_all, stacked[offset : offset + rows]
                 )
                 offset += rows
             reduced = stacked[self._base_rows]
@@ -431,10 +357,7 @@ class CompiledWorkload:
         for row in self._false_rows:
             out[row] = False
         for row, node in self._residue:
-            mask = index._mask(node, want_all)
-            if positions is not None:
-                mask = mask[positions]
-            out[row] &= mask
+            out[row] &= index._mask(node, want_all)
         return out
 
     @staticmethod
@@ -449,8 +372,6 @@ class CompiledWorkload:
         group: _AtomGroup,
         index: ZoneMapIndex,
         want_all: bool,
-        num_cols: int,
-        positions: np.ndarray | None,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """``(num_unique_atoms_in_group, num_partitions)`` mask block.
@@ -464,38 +385,28 @@ class CompiledWorkload:
         try:
             zones = index._column(group.column)
         except _Unsupported:
-            return self._assign(
-                out, self._fallback_matrix(group, index, want_all, positions)
-            )
+            return self._assign(out, self._fallback_matrix(group, index, want_all))
         if zones is None:
             # Column in no partition's stats: may_match is vacuously True
             # (no-op under AND); matches_all is False for every partition.
             if out is None:
-                return np.full((len(group.unodes), num_cols), not want_all, dtype=bool)
+                return np.full(
+                    (len(group.unodes), index.num_partitions), not want_all, dtype=bool
+                )
             out[:] = not want_all
             return out
-        if positions is not None:
-            zones = _sliced_zones(zones, positions)
         if group.kind == "in" and not zones.all_distinct:
             # Mixed or absent distinct sets: the per-atom path handles
             # the min/max branch and the per-partition mixing exactly.
-            return self._assign(
-                out, self._fallback_matrix(group, index, want_all, positions)
-            )
+            return self._assign(out, self._fallback_matrix(group, index, want_all))
         return self._group_mask(group, zones, want_all, out)
 
     @staticmethod
     def _fallback_matrix(
-        group: _AtomGroup,
-        index: ZoneMapIndex,
-        want_all: bool,
-        positions: np.ndarray | None,
+        group: _AtomGroup, index: ZoneMapIndex, want_all: bool
     ) -> np.ndarray:
         rows = [index._mask(node, want_all) for node in group.unodes]
-        block = np.stack(rows) if len(rows) > 1 else rows[0][None, :]
-        if positions is not None:
-            block = block[:, positions]
-        return block
+        return np.stack(rows) if len(rows) > 1 else rows[0][None, :]
 
     # ------------------------------------------------------------ group kernels
     def _group_mask(

@@ -50,17 +50,12 @@ Evaluation tiers sharing these compiled arrays, widest scope first:
   asserted bit-for-bit against, and the per-node fallback for anything
   the compiler cannot lower.
 
-Incremental maintenance contract: a reorganization that leaves most
-partitions untouched is described by a :class:`ReorgDelta` (from
-:func:`compute_reorg_delta`), and :meth:`ZoneMapIndex.apply_reorg`
-produces the post-reorg index by *carrying* the compiled rows of
-unchanged partitions and recomputing only the changed ones.  A carried
-column's value-union is append-only (old bit positions stay valid), a
-column that turns non-compilable or newly-statted simply drops back to
-lazy compilation, and the resulting index is behaviorally identical to a
-from-scratch ``ZoneMapIndex`` over the new metadata (asserted by the
-stateful reorg test suite).  The delta must be computed against the very
-metadata object the index was built from.
+An index is a pure function of the metadata *snapshot object* it was
+compiled from (:attr:`ZoneMapIndex.metadata`) and is never updated in
+place: a physical mutation installs a new snapshot, and every cache that
+holds an index compares snapshot identity and compiles a fresh one
+(``docs/architecture.md``, "Cache freshness").  Compiling is linear in
+partitions — noise next to the reorganization that made it necessary.
 """
 
 # reprolint: vectorized
@@ -68,7 +63,6 @@ metadata object the index was built from.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,12 +80,7 @@ from ..queries.predicates import (
 from ..utils import lru_get, lru_put
 from .metadata import LayoutMetadata
 
-__all__ = [
-    "ReorgDelta",
-    "ZoneMapIndex",
-    "compute_reorg_delta",
-    "compute_reorg_delta_from_assignments",
-]
+__all__ = ["ZoneMapIndex"]
 
 _WORD_BITS = 64
 
@@ -100,8 +89,8 @@ class _Unsupported(Exception):
     """Internal: this node cannot be vectorized; use the scalar oracle."""
 
 
-def _exact_float(value) -> float:
-    """``value`` as a float64, or ``_Unsupported`` if the cast is lossy.
+def _maybe_exact_float(value) -> float | None:
+    """``value`` as a float64, or ``None`` if the cast is lossy.
 
     Integers at or beyond 2**53 do not round-trip through float64; comparing
     their casts would make pruning *unsound* (may_match False where the
@@ -114,8 +103,15 @@ def _exact_float(value) -> float:
     try:
         result = float(value)
     except (TypeError, ValueError):
-        raise _Unsupported(value) from None
-    if result != value:
+        return None
+    # NaN also lands here (nan != nan): NaN constants are unsupported.
+    return result if result == value else None
+
+
+def _exact_float(value) -> float:
+    """:func:`_maybe_exact_float`, raising ``_Unsupported`` on a lossy cast."""
+    result = _maybe_exact_float(value)
+    if result is None:
         raise _Unsupported(value)
     return result
 
@@ -577,261 +573,3 @@ class ZoneMapIndex:
         return _fractions_from_matrix(
             self.prune_matrix(predicates), self.row_counts, self.total_rows
         )
-
-    # -------------------------------------------------- incremental maintenance
-    def apply_reorg(self, delta: "ReorgDelta") -> "ZoneMapIndex":
-        """Post-reorg index that carries compiled state for unchanged partitions.
-
-        ``delta`` must have been computed (:func:`compute_reorg_delta`)
-        against the exact metadata object this index was built from.  Every
-        column already compiled here is carried over: the carried
-        partitions' rows are copied, only the changed partitions are
-        re-statted, and the distinct-value union grows append-only so old
-        bitmap rows stay valid.  Columns this index never compiled stay
-        lazy, and columns that cannot be carried exactly (non-numeric new
-        boundaries) drop back to lazy compilation — behavior is always
-        identical to ``ZoneMapIndex(delta.new_metadata)``.
-        """
-        if delta.old_metadata is not self.metadata:
-            raise ValueError(
-                "delta was computed against a different metadata object; "
-                "recompute it from this index's metadata"
-            )
-        index = ZoneMapIndex(delta.new_metadata)
-        for name, zones in self._columns.items():
-            if zones is self._UNCOMPILED or zones is self._NOT_COMPILABLE:
-                continue  # recompile lazily, on first reference
-            carried = self._carry_column(name, zones, delta)
-            if carried is not self._NOT_COMPILABLE:
-                index._columns[name] = carried
-        return index
-
-    def _carry_column(
-        self, name: str, zones: "_ColumnZones | None", delta: "ReorgDelta"
-    ) -> "_ColumnZones | None | object":
-        """One column's zones for the new metadata, reusing carried rows."""
-        new_partitions = delta.new_metadata.partitions
-        count = len(new_partitions)
-        mins = np.zeros(count, dtype=np.float64)
-        maxs = np.zeros(count, dtype=np.float64)
-        has_stats = np.zeros(count, dtype=bool)
-        has_distinct = np.zeros(count, dtype=bool)
-        if zones is not None:
-            mins[delta.carried_new] = zones.mins[delta.carried_old]
-            maxs[delta.carried_new] = zones.maxs[delta.carried_old]
-            has_stats[delta.carried_new] = zones.has_stats[delta.carried_old]
-            has_distinct[delta.carried_new] = zones.has_distinct[delta.carried_old]
-            value_index = dict(zones.value_index)
-            base_bitmap = zones.bitmap
-        else:
-            value_index = {}
-            base_bitmap = None
-        changed_sets: list[tuple[int, frozenset]] = []
-        for position in delta.changed:
-            stats = new_partitions[position].stats.get(name)
-            if stats is None:
-                continue
-            try:
-                mins[position] = _exact_float(stats.min)
-                maxs[position] = _exact_float(stats.max)
-            except _Unsupported:
-                return self._NOT_COMPILABLE
-            has_stats[position] = True
-            if stats.distinct is not None:
-                has_distinct[position] = True
-                changed_sets.append((position, stats.distinct))
-        if not has_stats.any():
-            # The column vanished from every partition's stats: same meaning
-            # as "never statted" (may_match True, matches_all False).
-            return None
-        for _, distinct in changed_sets:
-            # Append-only union growth keeps every carried bit position valid.
-            if not value_index.keys() >= distinct:
-                for value in distinct:
-                    if value not in value_index:
-                        value_index[value] = len(value_index)
-        bitmap: np.ndarray | None = None
-        if has_distinct.any():
-            num_words = (len(value_index) + _WORD_BITS - 1) // _WORD_BITS
-            bitmap = np.zeros((count, num_words), dtype=np.uint64)
-            if base_bitmap is not None and len(delta.carried_new):
-                bitmap[delta.carried_new, : base_bitmap.shape[1]] = base_bitmap[
-                    delta.carried_old
-                ]
-            if changed_sets:
-                # One scatter for all changed rows, as in _compile_column.
-                row = np.repeat(
-                    np.fromiter((i for i, _ in changed_sets), dtype=np.int64),
-                    np.fromiter((len(s) for _, s in changed_sets), dtype=np.int64),
-                )
-                pos = np.asarray(
-                    [value_index[v] for _, s in changed_sets for v in s],
-                    dtype=np.int64,
-                )
-                bits = np.left_shift(
-                    np.uint64(1), (pos % _WORD_BITS).astype(np.uint64)
-                )
-                flat = bitmap.reshape(-1)
-                np.bitwise_or.at(flat, row * num_words + pos // _WORD_BITS, bits)
-        else:
-            value_index = {}
-        return _ColumnZones(mins, maxs, has_stats, has_distinct, bitmap, value_index)
-
-
-@dataclass(frozen=True, eq=False)
-class ReorgDelta:
-    """Which partitions a reorganization touched, position-mapped.
-
-    ``changed`` holds positions (indices into ``new_metadata.partitions``)
-    of partitions that are new or whose metadata differs from the old
-    layout's partition of the same id.  ``carried_new``/``carried_old``
-    are matching position vectors for the unchanged partitions: partition
-    ``carried_new[i]`` of the new metadata is bit-for-bit the partition
-    ``carried_old[i]`` of the old one.
-    """
-
-    old_metadata: LayoutMetadata
-    new_metadata: LayoutMetadata
-    changed: tuple[int, ...]
-    carried_new: np.ndarray = field(repr=False)
-    carried_old: np.ndarray = field(repr=False)
-
-    @property
-    def change_fraction(self) -> float:
-        """Fraction of the new metadata's partitions that changed."""
-        total = len(self.new_metadata.partitions)
-        if total == 0:
-            return 0.0
-        return len(self.changed) / total
-
-
-def _partitions_equal(old_partition, new_partition) -> bool:
-    """Bit-for-bit metadata equality, short-circuiting field by field.
-
-    Faster than dataclass ``==`` (which builds comparison tuples per
-    ``ColumnStats``); NaN boundaries compare unequal, which conservatively
-    marks the partition changed — recomputation, never incorrectness.
-    """
-    if old_partition is new_partition:
-        return True
-    if old_partition.row_count != new_partition.row_count:
-        return False
-    old_stats, new_stats = old_partition.stats, new_partition.stats
-    if old_stats.keys() != new_stats.keys():
-        return False
-    for name, old_column in old_stats.items():
-        new_column = new_stats[name]
-        if old_column is new_column:
-            continue
-        if (
-            old_column.min != new_column.min
-            or old_column.max != new_column.max
-            or old_column.distinct != new_column.distinct
-        ):
-            return False
-    return True
-
-
-def _build_delta(
-    old: LayoutMetadata, new: LayoutMetadata, carried_ids
-) -> ReorgDelta:
-    """Assemble a :class:`ReorgDelta` given a per-partition carry test."""
-    changed: list[int] = []
-    carried_new: list[int] = []
-    carried_old: list[int] = []
-    for position, partition in enumerate(new.partitions):
-        old_position = carried_ids(partition)
-        if old_position is None:
-            changed.append(position)
-        else:
-            carried_new.append(position)
-            carried_old.append(old_position)
-    return ReorgDelta(
-        old_metadata=old,
-        new_metadata=new,
-        changed=tuple(changed),
-        carried_new=np.asarray(carried_new, dtype=np.int64),
-        carried_old=np.asarray(carried_old, dtype=np.int64),
-    )
-
-
-def compute_reorg_delta(old: LayoutMetadata, new: LayoutMetadata) -> ReorgDelta:
-    """Diff two layout metadata snapshots by partition id.
-
-    A partition is *carried* when a partition with the same id exists in
-    ``old`` and its metadata compares equal (row count and every column's
-    stats); anything else — new ids, changed stats — is *changed*.
-    """
-    old_positions = {p.partition_id: i for i, p in enumerate(old.partitions)}
-
-    def carried(partition) -> int | None:
-        old_position = old_positions.get(partition.partition_id)
-        if old_position is not None and _partitions_equal(
-            old.partitions[old_position], partition
-        ):
-            return old_position
-        return None
-
-    return _build_delta(old, new, carried)
-
-
-def compute_reorg_delta_from_assignments(
-    old: LayoutMetadata,
-    new: LayoutMetadata,
-    old_assignment: np.ndarray,
-    new_assignment: np.ndarray,
-) -> ReorgDelta:
-    """Delta from row→partition assignments over the *same row order*.
-
-    The reorganization pipeline knows both assignments, which pins down
-    the touched partitions without comparing any statistics: a partition
-    is carried iff no row moved into or out of it.  Statistics are pure
-    (order-invariant) functions of a partition's row multiset, so an
-    untouched partition's recomputed metadata is bit-for-bit the old one.
-    """
-    if len(old_assignment) != len(new_assignment):
-        raise ValueError(
-            f"assignment lengths differ: {len(old_assignment)} != {len(new_assignment)}"
-        )
-    moved = np.asarray(old_assignment) != np.asarray(new_assignment)
-    moved_old = np.asarray(old_assignment)[moved]
-    moved_new = np.asarray(new_assignment)[moved]
-    old_ids = old.partition_ids
-    new_ids = new.partition_ids
-    # Which new partitions were touched by a moved row?
-    touched = np.zeros(len(new_ids), dtype=bool)
-    if len(moved_old):
-        low = min(int(moved_old.min()), int(moved_new.min()))
-        high = max(int(moved_old.max()), int(moved_new.max()))
-        if 0 <= low and high < 1 << 22:
-            # Dense small-int ids (every built-in layout): presence flags
-            # beat sorting the moved values through np.unique.
-            flags = np.zeros(high + 1, dtype=bool)
-            flags[moved_old] = True
-            flags[moved_new] = True
-            in_range = (new_ids >= 0) & (new_ids <= high)
-            touched[in_range] = flags[new_ids[in_range]]
-        else:
-            moved_ids = set(moved_old.tolist())
-            moved_ids.update(moved_new.tolist())
-            touched = np.fromiter(
-                (int(i) in moved_ids for i in new_ids), dtype=bool, count=len(new_ids)
-            )
-    # Match new partition ids to old positions (ids need not be sorted).
-    if len(old_ids):
-        order = np.argsort(old_ids, kind="stable")
-        sorted_ids = old_ids[order]
-        slots = np.clip(np.searchsorted(sorted_ids, new_ids), 0, len(old_ids) - 1)
-        found = sorted_ids[slots] == new_ids
-        old_position = order[slots]
-    else:
-        found = np.zeros(len(new_ids), dtype=bool)
-        old_position = np.zeros(len(new_ids), dtype=np.int64)
-    carried_mask = found & ~touched
-    return ReorgDelta(
-        old_metadata=old,
-        new_metadata=new,
-        changed=tuple(np.flatnonzero(~carried_mask).tolist()),
-        carried_new=np.flatnonzero(carried_mask),
-        carried_old=old_position[carried_mask],
-    )

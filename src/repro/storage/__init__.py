@@ -1,6 +1,6 @@
 """Storage engine: columnar tables, on-disk partitions, execution, reorg."""
 
-from .async_reorg import AsyncReorgPipeline, MovementStep, PartialCommit
+from .async_reorg import AsyncReorgPipeline, MovementStep
 from .executor import QueryExecutor, QueryResult, ScanResult
 from .ingest import IncrementalStore
 from .partition import StoredLayout, StoredPartition
@@ -13,7 +13,6 @@ __all__ = [
     "ColumnSpec",
     "IncrementalStore",
     "MovementStep",
-    "PartialCommit",
     "PartitionStore",
     "QueryExecutor",
     "QueryResult",

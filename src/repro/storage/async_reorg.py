@@ -24,13 +24,12 @@ The pipeline advances through four phases:
    what makes the pipeline's output bit-for-bit the synchronous path's;
 3. **write** — each step compresses up to ``step_partitions`` target
    partitions into the store's staging buffer
-   (:meth:`PartitionStore.begin_staging`), stamps them with the committing
-   epoch, and publishes an append-only :class:`PartialCommit` so cost
-   caches and compiled plans can migrate incrementally while the move is
-   still in flight;
+   (:meth:`PartitionStore.begin_staging`) and stamps them with the
+   committing epoch; nothing outside the pipeline sees them yet;
 4. **commit** — one step flips the staged buffer into the live directory
    (:meth:`PartitionStore.commit_staging`), deletes the old layout's files,
-   and exposes the completed :class:`~repro.storage.reorg.ReorgResult`.
+   and exposes the new stored layout — one new metadata snapshot object —
+   with the completed :class:`~repro.storage.reorg.ReorgResult`.
 
 Epoch protocol invariants (documented in ``docs/architecture.md``):
 
@@ -40,15 +39,14 @@ Epoch protocol invariants (documented in ``docs/architecture.md``):
 * **epochs are monotonic**: every completed step commits epoch ``n+1``, and
   a partition file stamped with epoch ``e`` is durable from the end of step
   ``e`` onward;
-* **partial commits are append-only**: :class:`PartialCommit` deltas carry
-  every previously written partition verbatim, so
-  :meth:`~repro.core.cost_model.CostEvaluator.revalidate` and
-  :meth:`~repro.storage.executor.QueryExecutor.apply_reorg` run zone-map
-  kernels only over the partitions the committing step wrote;
-* **completion is equivalence**: the final metadata, partition files, and
-  :class:`~repro.layouts.zonemaps.ReorgDelta` are bit-for-bit what the
-  synchronous :func:`~repro.storage.reorg.reorganize` produces (asserted by
-  the differential suite in ``tests/core/test_reorg_scheduler.py``).
+* **staged state is private**: until the commit step no cache — cost
+  evaluator, executor plans — is told about the partitions written so far;
+  the new epoch becomes known to them as one new snapshot object, at the
+  flip;
+* **completion is equivalence**: the final metadata and partition files are
+  bit-for-bit what the synchronous :func:`~repro.storage.reorg.reorganize`
+  produces (asserted by the differential suite in
+  ``tests/core/test_reorg_scheduler.py``).
 """
 
 from __future__ import annotations
@@ -69,32 +67,15 @@ from ..layouts.metadata import (
     build_partition_metadata,
     partition_row_indices,
 )
-from ..layouts.zonemaps import ReorgDelta, compute_reorg_delta
 from .partition import StoredLayout, StoredPartition
 from .partition_store import PartitionStore
-from .reorg import ReorgResult, derive_delta
+from .reorg import ReorgResult
 from .table import Schema, Table
 
-__all__ = ["MovementStep", "PartialCommit", "AsyncReorgPipeline"]
+__all__ = ["MovementStep", "AsyncReorgPipeline"]
 
 _MoveIn = TypeVar("_MoveIn")
 _MoveOut = TypeVar("_MoveOut")
-
-
-@dataclass(frozen=True)
-class PartialCommit:
-    """Append-only view of the new layout after one write step.
-
-    ``stored`` is the partial new layout (only the partitions written so
-    far; paths point into the staging buffer), and ``delta`` the
-    append-only diff from the previous partial snapshot — every earlier
-    partition carried verbatim, only this step's writes changed — which is
-    exactly the shape :meth:`CostEvaluator.revalidate` and
-    :meth:`QueryExecutor.apply_reorg` migrate incrementally.
-    """
-
-    stored: StoredLayout
-    delta: ReorgDelta
 
 
 @dataclass(frozen=True)
@@ -111,8 +92,6 @@ class MovementStep:
     #: this step, in [0, 1] — what the scheduler charges the movement
     #: budget against (see :class:`~repro.core.dumts.MovementAmortizer`).
     completed_fraction: float
-    #: present on write steps only: the append-only snapshot + delta
-    partial: PartialCommit | None = None
 
 
 class AsyncReorgPipeline:
@@ -120,7 +99,7 @@ class AsyncReorgPipeline:
 
     Drive it with :meth:`step` (typically via
     :class:`~repro.core.reorg_scheduler.ReorgScheduler`, which interleaves
-    queries and feeds partial commits into the cost caches) until
+    queries and charges the movement budget) until
     :attr:`done`; :attr:`result` then holds the same ``(StoredLayout,
     ReorgResult)`` pair the synchronous path returns.  :meth:`run_to_completion`
     drains the remaining steps in one call.
@@ -140,7 +119,6 @@ class AsyncReorgPipeline:
         new_layout: DataLayout,
         schema: Schema,
         step_partitions: int = 16,
-        keep_old: bool = False,
         mover_threads: int = 1,
     ):
         if step_partitions < 1:
@@ -152,26 +130,21 @@ class AsyncReorgPipeline:
         self.new_layout = new_layout
         self.schema = schema
         self.step_partitions = int(step_partitions)
-        self.keep_old = keep_old
         self.mover_threads = int(mover_threads)
         self.epoch = 0
         self._phase = "read"
         self._read_position = 0
         self._pieces: list[dict[str, np.ndarray]] = []
         self._table: Table | None = None
-        self._assignment: np.ndarray | None = None
         self._groups: list[tuple[int, np.ndarray]] = []
         self._write_position = 0
         self._written: list[StoredPartition] = []
-        self._written_metadata: list = []
-        #: committed-so-far metadata of the new layout (append-only chain);
-        #: starts empty so the first partial delta has a real predecessor.
-        self.snapshot = LayoutMetadata(partitions=())
+        self._written_metadata: list[PartitionMetadata] = []
         self._staging: Path | None = None
         self._movement_seconds = 0.0
         self._bytes_read = 0
         self._bytes_written = 0
-        self._committed: tuple[StoredLayout, ReorgDelta | None] | None = None
+        self._committed: StoredLayout | None = None
         self._result: tuple[StoredLayout, ReorgResult] | None = None
         # Work units for completed_fraction: one per source partition read,
         # one per target partition written, plus one assign and one commit
@@ -200,7 +173,7 @@ class AsyncReorgPipeline:
         never a mixture of the two.
         """
         if self._committed is not None:
-            return self._committed[0]
+            return self._committed
         return self.old_stored
 
     @property
@@ -209,7 +182,7 @@ class AsyncReorgPipeline:
         if self._committed is None:
             raise RuntimeError("pipeline has not committed yet")
         if self._result is None:
-            new_stored, delta = self._committed
+            new_stored = self._committed
             self._result = (
                 new_stored,
                 ReorgResult(
@@ -218,7 +191,6 @@ class AsyncReorgPipeline:
                     bytes_written=self._bytes_written,
                     rows_moved=new_stored.total_rows,
                     partitions_written=len(new_stored.partitions),
-                    delta=delta,
                 ),
             )
         return self._result
@@ -247,7 +219,7 @@ class AsyncReorgPipeline:
             outcome = self._step_write()
         else:
             outcome = self._step_commit()
-        kind, touched, rows, bytes_moved, partial = outcome
+        kind, touched, rows, bytes_moved = outcome
         elapsed = time.perf_counter() - start
         self._movement_seconds += elapsed
         self.epoch += 1
@@ -259,7 +231,6 @@ class AsyncReorgPipeline:
             rows_moved=rows,
             bytes_moved=bytes_moved,
             completed_fraction=self.completed_fraction(),
-            partial=partial,
         )
 
     def run_to_completion(self) -> tuple[StoredLayout, ReorgResult]:
@@ -301,7 +272,7 @@ class AsyncReorgPipeline:
         self._work_done += len(batch)
         if self._read_position >= len(self.old_stored.partitions):
             self._phase = "assign"
-        return "read", len(batch), rows, bytes_moved, None
+        return "read", len(batch), rows, bytes_moved
 
     def _step_assign(self):
         self._table = self.store.merge_pieces(self._pieces, self.schema)
@@ -313,17 +284,17 @@ class AsyncReorgPipeline:
             # assignment yields zero write groups, so the pipeline falls
             # through read → assign → commit and lands on the same empty
             # snapshot the synchronous reorganize() produces.
-            self._assignment = np.zeros(0, dtype=np.int64)
+            assignment = np.zeros(0, dtype=np.int64)
         else:
-            self._assignment = self.new_layout.assign(self._table)
+            assignment = self.new_layout.assign(self._table)
         self._groups = sorted(
-            partition_row_indices(self._assignment).items(),
+            partition_row_indices(assignment).items(),
             key=lambda item: item[0],
         )
         self._staging = self.store.begin_staging(self.new_layout.layout_id)
         self._phase = "write" if self._groups else "commit"
         self._work_done += 1
-        return "assign", 0, int(self._table.num_rows), 0, None
+        return "assign", 0, int(self._table.num_rows), 0
 
     def _write_one(
         self, group: tuple[int, np.ndarray], committing_epoch: int
@@ -360,28 +331,15 @@ class AsyncReorgPipeline:
         self._write_position += len(batch)
         self._bytes_written += bytes_moved
         self._work_done += len(batch)
-        previous = self.snapshot
-        self.snapshot = LayoutMetadata(partitions=tuple(self._written_metadata))
-        # Every earlier partition object is carried verbatim into the new
-        # snapshot, so the diff's changed set is exactly this step's writes.
-        delta = compute_reorg_delta(previous, self.snapshot)
-        partial = PartialCommit(
-            stored=StoredLayout(
-                layout=self.new_layout,
-                metadata=self.snapshot,
-                partitions=tuple(self._written),
-            ),
-            delta=delta,
-        )
         if self._write_position >= len(self._groups):
             self._phase = "commit"
-        return "write", len(batch), rows, bytes_moved, partial
+        return "write", len(batch), rows, bytes_moved
 
     def _step_commit(self):
         old = self.old_stored
         same_id = old.layout.layout_id == self.new_layout.layout_id
         live = self.store.commit_staging(self.new_layout.layout_id)
-        if not self.keep_old and not same_id:
+        if not same_id:
             self.store.delete_layout(old)
         partitions = tuple(
             StoredPartition(
@@ -393,17 +351,16 @@ class AsyncReorgPipeline:
             )
             for p in self._written
         )
-        new_stored = StoredLayout(
-            layout=self.new_layout, metadata=self.snapshot, partitions=partitions
+        self._committed = StoredLayout(
+            layout=self.new_layout,
+            metadata=LayoutMetadata(partitions=tuple(self._written_metadata)),
+            partitions=partitions,
         )
-        delta = derive_delta(old, new_stored.metadata, self._assignment)
-        self._committed = (new_stored, delta)
         # Release the staged rows and every O(rows) planning structure;
         # only the committed result (descriptors + metadata) stays alive.
         self._table = None
-        self._assignment = None
         self._groups = []
         self._pieces = []
         self._written_metadata = []
         self._phase = "done"
-        return "commit", len(partitions), 0, 0, None
+        return "commit", len(partitions), 0, 0

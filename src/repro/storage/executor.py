@@ -16,15 +16,12 @@ plans a whole query list with one
 :class:`~repro.layouts.workload_compiler.CompiledWorkload` pass, reading
 each surviving partition at most once for the batch.
 
-After a reorganization, :meth:`QueryExecutor.apply_reorg` migrates the
-old layout's compiled index incrementally (carrying the partitions the
-reorg did not touch) instead of recompiling the new layout from scratch.
-Under the pipelined reorganization the same migration runs *during* the
-move: the scheduler seeds the new layout's empty index with
-:meth:`QueryExecutor.prewarm` and then applies each movement step's
-append-only partial commit, so queries keep planning against the old
-epoch's index until the flip and the new epoch's index is already
-compiled when they switch over.
+A compiled index belongs to one metadata snapshot object: a query against
+a stored layout whose ``metadata`` is not the object the cached index was
+compiled from recompiles (``docs/architecture.md``, "Cache freshness").
+A reorganization, a consolidation or a streaming append each install a new
+snapshot, so none of them has to tell the executor anything;
+:meth:`QueryExecutor.forget` only releases a retired layout's index early.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..layouts.workload_compiler import CompiledWorkload
-from ..layouts.zonemaps import ReorgDelta, ZoneMapIndex
+from ..layouts.zonemaps import ZoneMapIndex
 from ..utils import lru_get, lru_put
 from ..queries.query import Query
 from .partition import StoredLayout
@@ -90,10 +87,9 @@ class QueryExecutor:
     further coordination.
     """
 
-    #: Most retirements arrive explicitly (:meth:`forget`,
-    #: :meth:`apply_reorg`), but replay drivers can also drop layouts
-    #: without telling this layer, so the compiled-index cache stays
-    #: LRU-bounded instead of unbounded.
+    #: Most retirements arrive explicitly (:meth:`forget`), but replay
+    #: drivers can also drop layouts without telling this layer, so the
+    #: compiled-index cache stays LRU-bounded instead of unbounded.
     ZONEMAP_CACHE_CAP = 16
     #: Batch plans repeat (replay drivers re-run the same sample across
     #: layout switches); compiled workloads are layout-independent, so a
@@ -142,44 +138,6 @@ class QueryExecutor:
         """Drop the compiled index for a retired layout (O(1))."""
         with self._cache_lock:
             self._zonemaps.pop(layout_id, None)
-
-    def prewarm(self, stored: StoredLayout) -> None:
-        """Compile (and cache) a stored layout's index ahead of its queries.
-
-        The pipelined reorganization scheduler seeds the *new* layout's
-        initially empty index here, then migrates it forward with
-        :meth:`apply_reorg` on every partial commit, so the first query
-        after the epoch flip plans against an already-warm index instead
-        of compiling the whole layout from scratch.
-        """
-        self._zone_maps(stored)
-
-    def apply_reorg(
-        self, old_layout_id: str, new_stored: StoredLayout, delta: ReorgDelta | None
-    ) -> None:
-        """Migrate the cached index across a reorganization, incrementally.
-
-        If the old layout's index is cached and ``delta`` was computed
-        against its metadata, the new layout's index is derived by
-        :meth:`ZoneMapIndex.apply_reorg` — recompiling only the partitions
-        the reorg touched — and cached under the new id.  Otherwise this
-        degrades to :meth:`forget` (the next query compiles lazily).
-        """
-        with self._cache_lock:
-            cached = self._zonemaps.pop(old_layout_id, None)
-            if (
-                cached is None
-                or delta is None
-                or cached.metadata is not delta.old_metadata
-                or delta.new_metadata is not new_stored.metadata
-            ):
-                return
-            lru_put(
-                self._zonemaps,
-                new_stored.layout.layout_id,
-                cached.apply_reorg(delta),
-                self.ZONEMAP_CACHE_CAP,
-            )
 
     def execute(self, stored: StoredLayout, query: Query) -> QueryResult:
         """Run one query: prune partitions by metadata, scan the rest."""

@@ -17,20 +17,18 @@ partitions, weaker clustering across batches), which is exactly what
 layout — repairs; OREO decides *when* that is worth α.
 
 An attached :class:`~repro.core.cost_model.CostEvaluator` is kept in sync
-with the materialized metadata: each append ships a
-:class:`~repro.layouts.zonemaps.ReorgDelta` (every pre-existing partition
-carried, only the new batch partitions changed) through
-:meth:`CostEvaluator.revalidate`, so cached query prices migrate
-surgically — zone-map kernels run only over the appended partitions —
-and a consolidation re-registers the rewritten snapshot wholesale.
+with the materialized metadata: every append and every consolidation
+installs a new snapshot object and registers it
+(:meth:`CostEvaluator.register_metadata`), which drops whatever was cached
+against the previous one (``docs/architecture.md``, "Cache freshness").
 
 **Dual-epoch ingest.**  A pipelined consolidation
 (:meth:`IncrementalStore.consolidate_async`) freezes its read set at
 start, but the stream does not stop for it.  Batches arriving while the
 pipeline is in flight are routed through the *old* layout into a sidecar
 batch directory: they join the visible snapshot (and the evaluator's
-cached prices) immediately — the same append-only delta path as an idle
-append — while the batch tables are retained in a replay queue.  When the
+registered metadata) immediately — the same path as an idle append —
+while the batch tables are retained in a replay queue.  When the
 final commit flips the epoch, the queue is replayed through the *new*
 layout's ``assign``, so the post-consolidation state is bit-for-bit the
 state a synchronous "consolidate, then ingest" sequence leaves behind:
@@ -52,7 +50,6 @@ from ..layouts.metadata import (
     build_partition_metadata,
     partition_row_indices,
 )
-from ..layouts.zonemaps import compute_reorg_delta
 from .partition import StoredLayout, StoredPartition
 from .partition_store import PartitionStore
 from .reorg import ReorgResult, reorganize
@@ -146,7 +143,7 @@ class IncrementalStore:
         """Append one batch's partitions under the current layout, atomically.
 
         All bookkeeping (partition list, metadata, next id, batch counter,
-        snapshot, evaluator revalidation) is staged locally and committed
+        snapshot, evaluator registration) is staged locally and committed
         only after every partition file of the batch landed on disk; a
         mid-batch write failure removes the orphaned files and leaves the
         store exactly as it was.
@@ -172,14 +169,9 @@ class IncrementalStore:
         self._metadata.extend(staged_meta)
         if count_batch:
             self._batches_ingested += 1
-        old_snapshot = self._snapshot
         self._snapshot = LayoutMetadata(partitions=tuple(self._metadata))
         if self.evaluator is not None:
-            # Every pre-existing partition object is carried verbatim, so
-            # the delta's changed set is exactly the appended partitions:
-            # cached prices migrate with kernel work on the new files only.
-            delta = compute_reorg_delta(old_snapshot, self._snapshot)
-            self.evaluator.revalidate(self.layout.layout_id, delta)
+            self.evaluator.register_metadata(self.layout.layout_id, self._snapshot)
         return len(staged_parts)
 
     # ------------------------------------------------------------------ views
@@ -238,9 +230,7 @@ class IncrementalStore:
                 "scheduler (or abort_consolidation) first"
             )
         snapshot = self.stored()
-        new_stored, result = reorganize(
-            self.store, snapshot, new_layout, self.schema, keep_old=False
-        )
+        new_stored, result = reorganize(self.store, snapshot, new_layout, self.schema)
         self._finish_consolidation(new_layout, new_stored)
         return result
 
@@ -253,9 +243,8 @@ class IncrementalStore:
         store's bookkeeping lands in exactly the state :meth:`consolidate`
         leaves behind.  ``scheduler`` is a
         :class:`~repro.core.reorg_scheduler.ReorgScheduler` over this
-        store's :class:`PartitionStore`; attach this store's evaluator to
-        it to have cached prices migrate incrementally with each partial
-        commit.  Ingesting while the consolidation is in flight takes the
+        store's :class:`PartitionStore`.  Ingesting while the
+        consolidation is in flight takes the
         dual-epoch sidecar path (see the module notes): the pipeline's
         frozen read set stays frozen, the batch is visible immediately,
         and the final commit replays it through the new layout so the
@@ -274,7 +263,6 @@ class IncrementalStore:
             self.stored(),
             new_layout,
             self.schema,
-            keep_old=False,
             on_complete=lambda new_stored, result: self._finish_consolidation(
                 new_layout, new_stored
             ),
@@ -361,17 +349,15 @@ class IncrementalStore:
             max((p.partition_id for p in self._partitions), default=-1) + 1
         )
         if self.evaluator is not None:
-            # A consolidation rewrites every partition (usually under a new
-            # layout id): nothing is carryable from the old snapshot, so
-            # re-register — a no-op when the async scheduler already chained
-            # the evaluator onto this exact metadata via partial commits.
+            # A no-op when the async scheduler (sharing this evaluator)
+            # already registered this exact snapshot at its commit.
             if old_layout_id != new_layout.layout_id:
                 self.evaluator.forget(old_layout_id)
             self.evaluator.register_metadata(new_layout.layout_id, self._snapshot)
         # Dual-epoch replay: batches that arrived mid-flight now route
         # through the *new* layout, exactly as if they had been ingested
         # right after a synchronous consolidate() — same partition ids,
-        # same files, same metadata, same evaluator deltas.  They were
+        # same files, same metadata.  They were
         # already counted as ingested batches on arrival.
         for batch in replay:
             self._append_batch(

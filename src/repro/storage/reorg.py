@@ -6,12 +6,10 @@ according to the new layout's mapping, 3) repartition the rows by BID, and
 4) compress and write the new partition files.  The measured elapsed time
 over a matching full scan is exactly the α the cost model consumes.
 
-Because the pipeline holds both the old and the new row→partition
-assignment, it also knows — without comparing any statistics — exactly
-which partitions the rewrite touched.  That knowledge ships with the
-result as a :class:`~repro.layouts.zonemaps.ReorgDelta`, so downstream
-consumers (the executor's compiled zone-map cache, cost caches) can
-update incrementally instead of recompiling the new layout from scratch.
+The rewrite returns a new :class:`StoredLayout` whose metadata is a new
+snapshot object; caches keyed on snapshot identity (the executor's
+compiled index, the cost evaluator) recompile from it rather than being
+migrated (``docs/architecture.md``, "Cache freshness").
 """
 
 from __future__ import annotations
@@ -19,47 +17,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..layouts.base import DataLayout
-from ..layouts.zonemaps import ReorgDelta, compute_reorg_delta_from_assignments
 from .partition import StoredLayout
 from .partition_store import PartitionStore
 from .table import Schema
 
-__all__ = ["ReorgResult", "derive_delta", "reorganize"]
-
-
-def derive_delta(
-    stored: StoredLayout, new_metadata, new_assignment: np.ndarray
-) -> ReorgDelta | None:
-    """Positional delta of rewriting ``stored`` into ``new_assignment``.
-
-    Both reorganization paths (the synchronous :func:`reorganize` and the
-    pipelined ``AsyncReorgPipeline``) read the old partitions in stored
-    order and assign the concatenated rows, so the old row→partition
-    assignment is one ``np.repeat`` over the stored partition descriptors
-    away — no statistics comparison needed.  Returns ``None`` when the
-    row counts diverge (a rewrite that drops or duplicates rows), where
-    positional diffing is meaningless.
-    """
-    if len(new_assignment) != stored.total_rows:
-        return None
-    old_assignment = np.repeat(
-        np.fromiter(
-            (p.partition_id for p in stored.partitions),
-            dtype=np.int64,
-            count=len(stored.partitions),
-        ),
-        np.fromiter(
-            (p.row_count for p in stored.partitions),
-            dtype=np.int64,
-            count=len(stored.partitions),
-        ),
-    )
-    return compute_reorg_delta_from_assignments(
-        stored.metadata, new_metadata, old_assignment, new_assignment
-    )
+__all__ = ["ReorgResult", "reorganize"]
 
 
 @dataclass(frozen=True)
@@ -71,9 +34,6 @@ class ReorgResult:
     bytes_written: int
     rows_moved: int
     partitions_written: int
-    #: which partitions the reorg touched (None when row counts diverge,
-    #: e.g. a layout change that also drops or duplicates rows)
-    delta: ReorgDelta | None = None
 
 
 def reorganize(
@@ -81,13 +41,12 @@ def reorganize(
     stored: StoredLayout,
     new_layout: DataLayout,
     schema: Schema,
-    keep_old: bool = False,
 ) -> tuple[StoredLayout, ReorgResult]:
     """Rewrite ``stored`` into ``new_layout``; returns the new stored layout.
 
-    The old layout's files are deleted after the swap unless ``keep_old`` —
-    matching the paper's note that OREO keeps no extra copies except
-    temporarily during reorganization.
+    The old layout's files are deleted after the swap — matching the
+    paper's note that OREO keeps no extra copies except temporarily
+    during reorganization.
     """
     start = time.perf_counter()
     bytes_read = stored.total_bytes
@@ -95,15 +54,13 @@ def reorganize(
     assignment = new_layout.assign(table)            # 2) update the BID column
     new_stored = store.write_partitions(table, new_layout, assignment)  # 3+4)
     elapsed = time.perf_counter() - start
-    if not keep_old and stored.layout.layout_id != new_layout.layout_id:
+    if stored.layout.layout_id != new_layout.layout_id:
         store.delete_layout(stored)
-    delta = derive_delta(stored, new_stored.metadata, assignment)
     result = ReorgResult(
         elapsed_seconds=elapsed,
         bytes_read=bytes_read,
         bytes_written=new_stored.total_bytes,
         rows_moved=new_stored.total_rows,
         partitions_written=len(new_stored.partitions),
-        delta=delta,
     )
     return new_stored, result

@@ -235,122 +235,37 @@ class TestCacheChurn:
         assert evaluator._compiled == compiled_before
 
 
-class TestRevalidate:
-    """Surgical cost-cache revalidation across reorganizations."""
+class TestStackedSlabLifetime:
+    """A stacked slab follows its layout's snapshot: refilled in place when
+    the snapshot is replaced, tombstoned only when the layout is forgotten."""
 
-    def _reorg(self, evaluator, layout, table, seed):
-        """Shuffle rows among two partitions; return the delta."""
-        from repro.layouts import compute_reorg_delta_from_assignments
+    def test_reregistering_refreshes_slab_in_place(self, simple_table):
         from repro.layouts.metadata import build_layout_metadata
 
-        old_metadata = evaluator.metadata(layout)
-        old_assignment = layout.assign(table)
-        new_assignment = old_assignment.copy()
-        member = np.isin(old_assignment, [0, 1])
-        new_assignment[member] = np.random.default_rng(seed).choice(
-            [0, 1], size=int(member.sum())
-        )
-        new_metadata = build_layout_metadata(table, new_assignment)
-        return compute_reorg_delta_from_assignments(
-            old_metadata, new_metadata, old_assignment, new_assignment
-        )
-
-    def test_revalidate_repriced_costs_match_oracle(self, simple_table):
-        evaluator = CostEvaluator(simple_table)
-        layout = RoundRobinLayout(4)
-        queries = [
-            Query(predicate=between("x", float(i * 7), float(i * 7 + 9)))
-            for i in range(8)
-        ]
-        evaluator.cost_vector(layout, queries)
-        delta = self._reorg(evaluator, layout, simple_table, seed=3)
-        migrated = evaluator.revalidate(layout.layout_id, delta)
-        assert migrated == len(queries)
-        metadata = evaluator.metadata(layout)
-        assert metadata is delta.new_metadata
-        for query in queries:
-            cached = evaluator._query_costs[layout.layout_id][query.cache_key()]
-            assert cached == metadata.accessed_fraction(query.predicate)
-        # And the evaluator keeps serving the revalidated numbers.
-        fresh = CostEvaluator(simple_table)
-        fresh._metadata[layout.layout_id] = delta.new_metadata
-        np.testing.assert_array_equal(
-            evaluator.cost_vector(layout, queries),
-            fresh.cost_vector(layout, queries),
-        )
-
-    def test_revalidate_only_evaluates_changed_partitions(self, simple_table):
-        """An identity reorg (empty changed set) runs no zone-map kernels."""
-        from repro.layouts import compute_reorg_delta
-        from repro.layouts.metadata import build_layout_metadata
-
-        evaluator = CostEvaluator(simple_table)
-        layout = RoundRobinLayout(4)
-        queries = [Query(predicate=between("x", 0.0, 50.0))]
-        before = evaluator.cost_vector(layout, queries).copy()
-        old_metadata = evaluator.metadata(layout)
-        new_metadata = build_layout_metadata(simple_table, layout.assign(simple_table))
-        delta = compute_reorg_delta(old_metadata, new_metadata)
-        assert delta.changed == ()
-        assert evaluator.revalidate(layout.layout_id, delta) == 1
-        np.testing.assert_array_equal(evaluator.cost_vector(layout, queries), before)
-        assert evaluator.metadata(layout) is new_metadata
-
-    def test_revalidate_with_stale_metadata_degrades_to_forget(self, simple_table):
-        from repro.layouts import compute_reorg_delta
-        from repro.layouts.metadata import build_layout_metadata
-
-        evaluator = CostEvaluator(simple_table)
-        layout = RoundRobinLayout(4)
-        evaluator.query_cost(layout, Query(predicate=between("x", 0.0, 5.0)))
-        other = build_layout_metadata(simple_table, layout.assign(simple_table))
-        delta = compute_reorg_delta(other, other)  # not the evaluator's object
-        assert evaluator.revalidate(layout.layout_id, delta) == 0
-        # Costs/masks dropped wholesale, but pricing resumes from the
-        # delta's post-reorg metadata (stays registered).
-        assert evaluator.cache_sizes() == (1, 0)
-        assert evaluator._metadata[layout.layout_id] is delta.new_metadata
-
-    def test_revalidate_drops_entries_without_masks(self, simple_table):
-        """Cost floats whose mask was evicted cannot migrate: dropped, then
-        lazily re-derived — never served stale."""
-        evaluator = CostEvaluator(simple_table)
-        layout = RoundRobinLayout(4)
-        queries = [
-            Query(predicate=between("x", float(i), float(i + 2))) for i in range(6)
-        ]
-        evaluator.cost_vector(layout, queries)
-        # Simulate eviction of half the mask store.
-        store = evaluator._masks[layout.layout_id]
-        for query in queries[:3]:
-            store.pop(query.cache_key())
-        delta = self._reorg(evaluator, layout, simple_table, seed=5)
-        assert evaluator.revalidate(layout.layout_id, delta) == 3
-        costs = evaluator._query_costs[layout.layout_id]
-        assert {q.cache_key() for q in queries[3:]} == set(costs)
-        metadata = evaluator.metadata(layout)
-        vector = evaluator.cost_vector(layout, queries)  # re-derives dropped half
-        expected = np.array([metadata.accessed_fraction(q.predicate) for q in queries])
-        np.testing.assert_array_equal(vector, expected)
-
-    def test_revalidate_refreshes_stacked_slab(self, simple_table):
         evaluator = CostEvaluator(simple_table)
         layout = RoundRobinLayout(4)
         queries = [Query(predicate=between("x", 0.0, 30.0))]
         evaluator.cost_matrix([layout], queries)  # registers the stacked slab
-        assert layout.layout_id in evaluator._stacked
-        delta = self._reorg(evaluator, layout, simple_table, seed=9)
-        evaluator.revalidate(layout.layout_id, delta)
+        slot = evaluator._stacked._slots[layout.layout_id]
+        assignment = np.random.default_rng(9).integers(0, 4, size=simple_table.num_rows)
+        new_metadata = build_layout_metadata(simple_table, assignment)
+        evaluator.register_metadata(layout.layout_id, new_metadata)
+        assert evaluator.cache_sizes() == (1, 0)  # costs of the old snapshot dropped
+        priced = evaluator.cost_matrix([layout], queries)
+        assert priced[0, 0] == new_metadata.accessed_fraction(queries[0].predicate)
+        # same slot, new index: update_layout, not tombstone + re-add
+        assert evaluator._stacked._slots[layout.layout_id] == slot
+        assert evaluator._stacked._dead == 0
         assert (
             evaluator._stacked.index_for(layout.layout_id)
             is evaluator._zonemaps[layout.layout_id]
         )
+        assert evaluator._zonemaps[layout.layout_id].metadata is new_metadata
 
-    def test_forget_discards_stacked_slab_and_masks(self, simple_table):
+    def test_forget_discards_stacked_slab(self, simple_table):
         evaluator = CostEvaluator(simple_table)
         layout = RoundRobinLayout(4)
         evaluator.cost_matrix([layout], [Query(predicate=between("x", 0.0, 5.0))])
         assert layout.layout_id in evaluator._stacked
         evaluator.forget(layout.layout_id)
         assert layout.layout_id not in evaluator._stacked
-        assert layout.layout_id not in evaluator._masks

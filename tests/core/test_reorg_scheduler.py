@@ -55,7 +55,7 @@ class TestDifferentialEquivalence:
         sync_evaluator.register_metadata(target.layout_id, sync_new.metadata)
         sync_costs = sync_evaluator.cost_vector(target, queries)
 
-        # --- pipelined run, caches migrated per partial commit ---------
+        # --- pipelined run, caches moved to the new epoch at the commit --
         stored = store.materialize(simple_table, RoundRobinLayout(5))
         executor = QueryExecutor(store)
         evaluator = CostEvaluator(simple_table)
@@ -69,22 +69,23 @@ class TestDifferentialEquivalence:
         assert new_stored.metadata == sync_new.metadata
         assert evaluator._metadata[target.layout_id] is new_stored.metadata
 
-        # zone maps: the incrementally migrated index agrees with a fresh
-        # compile of the synchronous metadata on every predicate mask
-        migrated = evaluator._zonemaps[target.layout_id]
+        # zone maps: the index compiled from the committed snapshot agrees
+        # with one compiled from the synchronous metadata on every mask
+        compiled_index = evaluator.zone_maps(target)
+        assert compiled_index.metadata is new_stored.metadata
         fresh = ZoneMapIndex(sync_new.metadata)
         for query in queries:
             np.testing.assert_array_equal(
-                migrated._mask(query.predicate, False),
+                compiled_index._mask(query.predicate, False),
                 fresh._mask(query.predicate, False),
             )
             np.testing.assert_array_equal(
-                migrated._mask(query.predicate, True),
+                compiled_index._mask(query.predicate, True),
                 fresh._mask(query.predicate, True),
             )
 
-        # cached costs: pricing through the migrated caches returns the
-        # synchronous evaluator's floats exactly
+        # costs: pricing the committed snapshot returns the synchronous
+        # evaluator's floats exactly
         np.testing.assert_array_equal(
             evaluator.cost_vector(target, queries), sync_costs
         )
@@ -93,19 +94,18 @@ class TestDifferentialEquivalence:
             == sync_evaluator._query_costs[target.layout_id]
         )
 
-        # stacked slabs: the migrated stack's tensor equals one built from
-        # the synchronous metadata
+        # stacked slabs: the stack's tensor equals one built from the
+        # synchronous metadata
         compiled = CompiledWorkload([query.predicate for query in queries])
         evaluator._ensure_stacked(target)
-        migrated_tensor = evaluator._stacked.prune_tensor(compiled, [target.layout_id])
+        committed_tensor = evaluator._stacked.prune_tensor(compiled, [target.layout_id])
         sync_evaluator._ensure_stacked(target)
         sync_tensor = sync_evaluator._stacked.prune_tensor(compiled, [target.layout_id])
-        np.testing.assert_array_equal(migrated_tensor, sync_tensor)
+        np.testing.assert_array_equal(committed_tensor, sync_tensor)
 
-        # executor plans: the pre-warmed index is chained onto the final
-        # snapshot, and executing returns the same physical counters
-        warm = executor._zonemaps[target.layout_id]
-        assert warm.metadata is new_stored.metadata
+        # executor plans: the retired layout's index is gone, and executing
+        # returns the same physical counters
+        assert stored.layout.layout_id not in executor._zonemaps
         sync_executor = QueryExecutor(sync_store)
         for query in queries[:4]:
             ours = executor.execute(new_stored, query)
@@ -113,6 +113,7 @@ class TestDifferentialEquivalence:
             assert ours.rows_matched == theirs.rows_matched
             assert ours.rows_scanned == theirs.rows_scanned
             assert ours.partitions_scanned == theirs.partitions_scanned
+        assert executor._zonemaps[target.layout_id].metadata is new_stored.metadata
 
     def test_start_leaves_priced_target_untouched_mid_flight(
         self, store, simple_table, target, queries
@@ -155,20 +156,6 @@ class TestDifferentialEquivalence:
         np.testing.assert_array_equal(
             evaluator.cost_vector(target, queries), reference
         )
-
-    def test_adopt_from_empty_donor_leaves_state_untouched(
-        self, simple_table, target, queries
-    ):
-        evaluator = CostEvaluator(simple_table)
-        before = evaluator.cost_vector(target, queries)
-        evaluator.adopt(CostEvaluator(simple_table), target.layout_id)
-        assert target.layout_id in evaluator._metadata  # nothing wiped
-        np.testing.assert_array_equal(evaluator.cost_vector(target, queries), before)
-        with pytest.raises(ValueError, match="different table"):
-            other_table = simple_table  # same values, different object needed
-            import copy
-
-            evaluator.adopt(CostEvaluator(copy.copy(other_table)), target.layout_id)
 
     def test_invalid_alpha_does_not_half_start(self, store, simple_table, target):
         stored = store.materialize(simple_table, RoundRobinLayout(4))
@@ -300,9 +287,7 @@ class TestLedgerEquality:
         assert charged > 0.0
         refund = scheduler.abort()
         assert refund == charged  # net charge for the aborted move is zero
-        # abort clears the abandoned flight's identity entirely
-        assert scheduler._old_layout_id is None
-        assert scheduler._same_id is False
+        assert scheduler.pipeline is None  # the abandoned flight is gone
         scheduler.start(stored, target, simple_table.schema)
         retry_charges = []
         while scheduler.active:
@@ -581,14 +566,12 @@ class TestIncrementalStoreAsync:
             scheduler.tick()
         scheduler.abort()
         assert not scheduler.active
-        assert scheduler._old_layout_id is None  # no stale flight identity
-        assert scheduler._same_id is False
+        # neither cache ever heard of the abandoned target
         assert target.layout_id not in evaluator._metadata
         assert target.layout_id not in executor._zonemaps
         # restartable, and completion still matches the synchronous result
         scheduler.start(stored, target, simple_table.schema)
-        new_stored, result = scheduler.drain()
-        assert result.delta is not None
+        new_stored, _ = scheduler.drain()
         assert evaluator._metadata[target.layout_id] is new_stored.metadata
 
     def test_ingest_guard_opt_out_still_rejects_mid_flight(
@@ -686,8 +669,8 @@ class TestDualEpochIngest:
             assert mine.partition_id == ref.partition_id
             assert mine.path.relative_to(store.root) == ref.path.relative_to(ref_store.root)
             assert mine.path.read_bytes() == ref.path.read_bytes()
-        # evaluator equality: cached prices migrated through the sidecar
-        # deltas and the replay agree with the serialized evaluator
+        # evaluator equality: prices after the sidecar appends and the
+        # replay agree with the serialized evaluator
         np.testing.assert_array_equal(
             evaluator.cost_vector(target, queries),
             ref_evaluator.cost_vector(target, queries),
@@ -746,9 +729,9 @@ class TestDualEpochIngest:
         self, tmp_path, simple_schema, simple_table, rng, queries
     ):
         # Same-id defragmentation while the stream keeps appending: the
-        # evaluator's cached index reflects the sidecar-extended snapshot,
-        # the final commit's delta the frozen one — revalidate degrades to
-        # a clean re-register instead of crashing, and no row is lost.
+        # evaluator holds the sidecar-extended snapshot, the final commit
+        # registers the frozen read set's rewrite and the replay then
+        # re-extends it — no row is lost.
         batches = self._batches(simple_schema, count=3)
         layout = RoundRobinLayout(3)
         store = PartitionStore(tmp_path / "same-id")

@@ -8,14 +8,11 @@ after every step asserts that
 * the stacked admission prices (``cost_matrix`` over the live state
   space) are bit-for-bit what a *from-scratch* evaluator computes;
 * every cached cost float equals the scalar-oracle fraction recomputed
-  from the layout's current metadata — i.e. reorganizations revalidated
-  the cache surgically without corrupting a single entry;
+  from the layout's current metadata — i.e. a reorganization's new
+  snapshot invalidated everything priced against the old one, and the
+  stacked slab was refilled in place;
 * the D-UMTS bookkeeping invariants hold (``counters ⊆ states``, state
   set in sync with the evaluator's view).
-
-This extends the reorg-machine pattern of
-``tests/layouts/test_zonemaps_incremental.py`` from a single index to the
-whole evaluator + decision-loop stack.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from hypothesis import strategies as st
 
 from repro.core import CostEvaluator, DynamicUMTS
-from repro.layouts import compute_reorg_delta_from_assignments
 from repro.layouts.base import DataLayout
 from repro.layouts.metadata import build_layout_metadata
 from repro.queries import Query, between, eq, ge, isin, lt, ne
@@ -142,10 +138,9 @@ class StackedEvaluatorMachine(RuleBasedStateMachine):
 
     @rule(pick=st.integers(0, 10_000), seed=st.integers(0, 10_000))
     def reorg(self, pick, seed):
-        """Shuffle rows among a few partitions; revalidate the evaluator."""
+        """Shuffle rows among a few partitions; register the new snapshot."""
         ids = sorted(self.layouts)
         layout = self.layouts[ids[pick % len(ids)]]
-        old_metadata = self.evaluator.metadata(layout)
         touched = list(range(seed % _NUM_PARTITIONS + 1))
         new_assignment = layout.assignment.copy()
         member = np.isin(layout.assignment, touched)
@@ -153,11 +148,9 @@ class StackedEvaluatorMachine(RuleBasedStateMachine):
             new_assignment[member] = np.random.default_rng(seed).choice(
                 touched, size=int(member.sum())
             )
-        new_metadata = build_layout_metadata(self.table, new_assignment)
-        delta = compute_reorg_delta_from_assignments(
-            old_metadata, new_metadata, layout.assignment, new_assignment
+        self.evaluator.register_metadata(
+            layout.layout_id, build_layout_metadata(self.table, new_assignment)
         )
-        self.evaluator.revalidate(layout.layout_id, delta)
         layout.assignment = new_assignment
 
     # -------------------------------------------------------------- invariants

@@ -673,7 +673,7 @@ class TestGreedyPolicyUnit:
 
     def test_policy_swap_attaches_cost_wiring(self, tmp_path, bundle, queries):
         """Swapping in a wants_costs policy wires the evaluator into the
-        ingest path, so appends revalidate instead of wiping caches."""
+        ingest path, so every append registers its snapshot there."""
         config = EngineConfig(
             store_root=tmp_path / "s",
             builder=RangeLayoutBuilder(bundle.default_sort_column),
@@ -688,11 +688,14 @@ class TestGreedyPolicyUnit:
             assert engine._incremental.evaluator is engine.evaluator
             assert engine.evaluator.has_metadata(engine.current_layout.layout_id)
             engine.query(queries[0])  # prices + caches against the snapshot
-            cached_before = engine.evaluator.cache_sizes()[1]
-            assert cached_before > 0
+            assert engine.evaluator.cache_sizes()[1] > 0
             engine.ingest(bundle.table.sample(0.2, np.random.default_rng(1)))
-            # the append revalidated (migrated) the cached price, not wiped it
-            assert engine.evaluator.cache_sizes()[1] == cached_before
+            # the append itself moved the evaluator onto the new snapshot
+            # (no query in between to re-register it) and dropped the price
+            # cached against the old one
+            stored = engine.stored()
+            assert engine.evaluator.metadata(stored.layout) is stored.metadata
+            assert engine.evaluator.cache_sizes()[1] == 0
 
     def test_policy_swapped_onto_live_engine_is_bound(
         self, tmp_path, bundle, layouts, queries

@@ -5,7 +5,7 @@ per-predicate ``ZoneMapIndex`` path and the scalar
 ``may_match``/``matches_all`` oracle; these tests pin that equivalence on
 hand-picked structures and every fallback edge (residue nodes, unknown
 columns, string boundaries, unsupported predicate classes, constant
-duplication, empty inputs) plus the incremental ``revalidate`` contract.
+duplication, empty inputs).
 """
 
 from __future__ import annotations
@@ -13,11 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.layouts import (
-    CompiledWorkload,
-    ZoneMapIndex,
-    compute_reorg_delta,
-)
+from repro.layouts import CompiledWorkload, ZoneMapIndex
 from repro.layouts.metadata import (
     ColumnStats,
     LayoutMetadata,
@@ -256,51 +252,3 @@ def test_layout_independence(striped_metadata, sorted_metadata):
         np.testing.assert_array_equal(
             workload.prune_matrix(index), index.prune_matrix(CONJUNCTIVE_SAMPLE)
         )
-
-
-class TestRevalidate:
-    def _layouts(self, simple_table, seed=5):
-        rng = np.random.default_rng(seed)
-        assignment = rng.integers(0, 10, size=simple_table.num_rows)
-        new_assignment = assignment.copy()
-        moved = np.isin(assignment, [2, 7])
-        new_assignment[moved] = rng.choice([2, 7], size=int(moved.sum()))
-        old = build_layout_metadata(simple_table, assignment)
-        new = build_layout_metadata(simple_table, new_assignment)
-        return old, new
-
-    def test_revalidate_equals_fresh_evaluation(self, simple_table):
-        old, new = self._layouts(simple_table)
-        delta = compute_reorg_delta(old, new)
-        assert 0 < len(delta.changed) < new.num_partitions
-        workload = CompiledWorkload(CONJUNCTIVE_SAMPLE)
-        old_index = ZoneMapIndex(old)
-        prior_may = workload.prune_matrix(old_index)
-        prior_all = workload.matches_all_matrix(old_index)
-        new_index = old_index.apply_reorg(delta)
-        fresh = ZoneMapIndex(new)
-        np.testing.assert_array_equal(
-            workload.revalidate(new_index, delta, prior_may),
-            workload.prune_matrix(fresh),
-        )
-        np.testing.assert_array_equal(
-            workload.revalidate(new_index, delta, prior_all, want_all=True),
-            workload.matches_all_matrix(fresh),
-        )
-
-    def test_revalidate_rejects_mismatched_prior(self, simple_table):
-        old, new = self._layouts(simple_table)
-        delta = compute_reorg_delta(old, new)
-        workload = CompiledWorkload(CONJUNCTIVE_SAMPLE)
-        new_index = ZoneMapIndex(old).apply_reorg(delta)
-        bad_prior = np.ones((len(CONJUNCTIVE_SAMPLE), old.num_partitions + 1), dtype=bool)
-        with pytest.raises(ValueError):
-            workload.revalidate(new_index, delta, bad_prior)
-
-    def test_revalidate_rejects_foreign_index(self, simple_table):
-        old, new = self._layouts(simple_table)
-        delta = compute_reorg_delta(old, new)
-        workload = CompiledWorkload(CONJUNCTIVE_SAMPLE)
-        prior = workload.prune_matrix(ZoneMapIndex(old))
-        with pytest.raises(ValueError):
-            workload.revalidate(ZoneMapIndex(old), delta, prior)

@@ -7,9 +7,13 @@ class NotifyingStore:
         self._snapshot = snapshot
         self.evaluator.register_metadata("layout", snapshot)
 
-    def swap_snapshot(self, layout_id, new_snapshot, delta):
+    def swap_snapshot(self, layout_id, new_snapshot):
         self._snapshot = new_snapshot
-        self.evaluator.revalidate(layout_id, delta)
+        self.evaluator.register_metadata(layout_id, new_snapshot)
+
+    def retire(self, layout_id):
+        self._snapshot = None
+        self.evaluator.forget(layout_id)
 
     def consolidated(self, layout_id, new_snapshot):
         self._snapshot = new_snapshot

@@ -1,4 +1,4 @@
-# reprolint: disable-file=RPR002
+# reprolint: disable-file=RPR007
 """Suppression fixture: every directive style silencing a real finding."""
 
 import shutil
@@ -15,9 +15,14 @@ def standalone_line(layout_dir):
     shutil.rmtree(layout_dir)
 
 
-def file_wide(old_snapshot, new_snapshot):
-    # RPR002 violation silenced by the disable-file directive up top.
-    compute_reorg_delta(old_snapshot, new_snapshot)  # noqa: F821
+class FileWide:
+    # RPR007 violation silenced by the disable-file directive up top.
+    def __init__(self, evaluator, snapshot):
+        self.evaluator = evaluator
+        self._snapshot = snapshot
+
+    def swap_snapshot(self, new_snapshot):
+        self._snapshot = new_snapshot
 
 
 def still_caught(path):

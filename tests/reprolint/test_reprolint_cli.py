@@ -67,6 +67,7 @@ def test_select_restricts_to_named_rules(capsys):
 def test_list_rules_prints_the_full_catalogue(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in [f"RPR00{i}" for i in range(1, 9)]:
+    for rule_id in ["RPR001", *(f"RPR00{i}" for i in range(3, 9))]:
         assert rule_id in out
+    assert "RPR002" not in out  # retired with the delta protocol it guarded
     assert "RPR009" not in out  # retired with the per-hook relays it guarded

@@ -15,7 +15,7 @@ def test_all_three_directive_styles_silence_their_findings():
     findings = run(
         [FIXTURES / "suppressions.py"],
         root=FIXTURES,
-        select={"RPR001", "RPR002"},
+        select={"RPR001", "RPR007"},
     )
     # Same-line disable, standalone-line disable and disable-file each
     # silenced one finding; only the undirected unlink survives.

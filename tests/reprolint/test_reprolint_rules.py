@@ -52,32 +52,6 @@ def test_rpr001_catches_deliberately_broken_scratch_module(tmp_path):
     assert "np.savez_compressed" in findings[0].message
 
 
-# ------------------------------------------------------------------ RPR002
-def test_rpr002_flags_each_dropped_delta_exactly_once():
-    findings = check("rpr002_bad.py", "RPR002")
-    assert len(findings) == 4
-    assert len(set(lines(findings))) == 4, "a drop was double-reported"
-    messages = " | ".join(f.message for f in findings)
-    assert "reorganize" in messages
-    assert "compute_reorg_delta" in messages
-    assert "consolidate" in messages
-
-
-def test_rpr002_quiet_when_deltas_reach_consumers():
-    assert check("rpr002_good.py", "RPR002") == []
-
-
-def test_rpr002_closure_use_counts_as_consumption(tmp_path):
-    # A callback lambda reading the bound name is a legitimate use.
-    module = tmp_path / "closure.py"
-    module.write_text(
-        "def pipelined(store, stored, layout, schema, scheduler):\n"
-        "    result = reorganize(store, stored, layout, schema)\n"
-        "    scheduler.on_complete(lambda: result.delta)\n"
-    )
-    assert run([module], root=tmp_path, select={"RPR002"}) == []
-
-
 # ------------------------------------------------------------------ RPR003
 def test_rpr003_flags_silent_state_transition():
     findings = check("rpr003_bad.py", "RPR003")

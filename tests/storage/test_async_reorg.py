@@ -204,11 +204,6 @@ class TestPipelineEquivalence:
         assert result.bytes_written == sync_result.bytes_written
         assert result.rows_moved == sync_result.rows_moved
         assert result.partitions_written == sync_result.partitions_written
-        assert result.delta is not None
-        assert result.delta.changed == sync_result.delta.changed
-        np.testing.assert_array_equal(
-            result.delta.carried_new, sync_result.delta.carried_new
-        )
 
     def test_old_layout_deleted_after_commit(self, store, simple_table, target):
         stored = store.materialize(simple_table, RoundRobinLayout(5))
@@ -217,13 +212,6 @@ class TestPipelineEquivalence:
             store, stored, target, simple_table.schema
         ).run_to_completion()
         assert not any(path.exists() for path in old_paths)
-
-    def test_keep_old_retains_files(self, store, simple_table, target):
-        stored = store.materialize(simple_table, RoundRobinLayout(5))
-        AsyncReorgPipeline(
-            store, stored, target, simple_table.schema, keep_old=True
-        ).run_to_completion()
-        assert all(p.path.exists() for p in stored.partitions)
 
     def test_same_layout_id_double_buffers(self, store, simple_table, rng):
         # Re-materializing under the same id must keep the old files
@@ -236,9 +224,10 @@ class TestPipelineEquivalence:
         while not pipeline.done:
             assert all(p.path.exists() for p in stored.partitions)
             pipeline.step()
-        new_stored, result = pipeline.result
+        new_stored, _ = pipeline.result
         assert all(p.path.exists() for p in new_stored.partitions)
-        assert result.delta is not None and result.delta.changed == ()
+        # a value-deterministic layout re-read in stored order: same snapshot
+        assert new_stored.metadata == stored.metadata
 
     def test_row_multiset_preserved(self, store, simple_table, target):
         stored = store.materialize(simple_table, RoundRobinLayout(5))
@@ -309,38 +298,3 @@ class TestEmptyStore:
         assert new_stored.metadata == sync_new.metadata
         assert new_stored.partitions == sync_new.partitions == ()
         assert result.rows_moved == sync_result.rows_moved == 0
-
-
-class TestPartialCommits:
-    def test_partial_commits_are_append_only(self, store, simple_table, target):
-        stored = store.materialize(simple_table, RoundRobinLayout(5))
-        pipeline = AsyncReorgPipeline(
-            store, stored, target, simple_table.schema, step_partitions=2
-        )
-        partials = [s.partial for s in run_pipeline(pipeline) if s.partial is not None]
-        assert partials, "write steps must publish partial commits"
-        previous_count = 0
-        previous_metadata = None
-        for partial in partials:
-            count = len(partial.stored.partitions)
-            assert count > previous_count
-            delta = partial.delta
-            # the chain threads metadata objects: each delta's old snapshot
-            # is exactly the previous partial's new snapshot
-            if previous_metadata is not None:
-                assert delta.old_metadata is previous_metadata
-            assert delta.new_metadata is partial.stored.metadata
-            # append-only: every pre-existing partition carried verbatim
-            assert len(delta.carried_new) == previous_count
-            assert len(delta.changed) == count - previous_count
-            previous_count = count
-            previous_metadata = partial.stored.metadata
-
-    def test_final_snapshot_is_last_partial(self, store, simple_table, target):
-        stored = store.materialize(simple_table, RoundRobinLayout(5))
-        pipeline = AsyncReorgPipeline(
-            store, stored, target, simple_table.schema, step_partitions=2
-        )
-        partials = [s.partial for s in run_pipeline(pipeline) if s.partial is not None]
-        new_stored, _ = pipeline.result
-        assert new_stored.metadata is partials[-1].stored.metadata

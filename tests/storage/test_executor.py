@@ -131,49 +131,6 @@ class TestExecuteBatch:
         assert executor.execute_batch(stored_range, []) == []
 
 
-class TestApplyReorg:
-    def _reorganize(self, executor, simple_table, rng):
-        from repro.storage import reorganize
-
-        layout = RangeLayoutBuilder("x").build(simple_table, [], 8, rng)
-        stored = executor.store.materialize(simple_table, layout)
-        executor.execute(stored, Query(predicate=between("x", 0.0, 5.0)))
-        target = RangeLayoutBuilder("x").build(simple_table, [], 6, rng)
-        new_stored, result = reorganize(executor.store, stored, target, simple_table.schema)
-        return stored, new_stored, result
-
-    def test_apply_reorg_migrates_cached_index(self, executor, simple_table, rng):
-        stored, new_stored, result = self._reorganize(executor, simple_table, rng)
-        assert result.delta is not None
-        executor.apply_reorg(stored.layout.layout_id, new_stored, result.delta)
-        assert stored.layout.layout_id not in executor._zonemaps
-        migrated = executor._zonemaps[new_stored.layout.layout_id]
-        assert migrated.metadata is new_stored.metadata
-        # The migrated index must answer queries exactly like a fresh one.
-        query = Query(predicate=between("x", 20.0, 40.0))
-        result_after = executor.execute(new_stored, query)
-        expected = int(query.predicate.evaluate(
-            executor.store.read_all(new_stored, simple_table.schema).columns
-        ).sum())
-        assert result_after.rows_matched == expected
-
-    def test_apply_reorg_without_cached_index_is_noop(self, executor, simple_table, rng):
-        stored, new_stored, result = self._reorganize(executor, simple_table, rng)
-        executor.forget(stored.layout.layout_id)
-        executor.apply_reorg(stored.layout.layout_id, new_stored, result.delta)
-        assert new_stored.layout.layout_id not in executor._zonemaps
-
-    def test_apply_reorg_with_none_delta_degrades_to_forget(self, executor, simple_table, rng):
-        stored, new_stored, _ = self._reorganize(executor, simple_table, rng)
-        executor.apply_reorg(stored.layout.layout_id, new_stored, None)
-        assert stored.layout.layout_id not in executor._zonemaps
-        assert new_stored.layout.layout_id not in executor._zonemaps
-        # Next execution recompiles lazily and still answers correctly.
-        query = Query(predicate=between("x", 10.0, 20.0))
-        outcome = executor.execute(new_stored, query)
-        assert outcome.rows_matched >= 0
-
-
 class TestCompiledPlanCache:
     def test_batch_plan_compiled_once_per_sample(self, executor, stored_range):
         queries = [Query(predicate=between("x", float(i * 9), float(i * 9 + 12))) for i in range(4)]

@@ -93,7 +93,7 @@ def test_caches_stay_bounded_and_consistent_under_races(
         for _ in range(20):
             stored = stored_layouts[int(order.integers(len(stored_layouts)))]
             if order.integers(4) == 0:
-                # interleave retirement with serving, like apply_reorg does
+                # interleave retirement with serving, like a reorg commit does
                 executor.forget(stored.layout.layout_id)
             else:
                 executor.execute_batch(

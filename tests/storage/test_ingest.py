@@ -176,7 +176,6 @@ class TestIngestAtomicity:
         self, tmp_path, simple_schema, simple_table, rng
     ):
         from repro.core import CostEvaluator
-        from repro.layouts import compute_reorg_delta
 
         store = FlakyStore(tmp_path / "store")
         layout = RangeLayout("x", np.array([25.0, 50.0, 75.0]))
@@ -217,11 +216,12 @@ class TestIngestAtomicity:
         assert incremental.batches_ingested == 2
         ids = [p.partition_id for p in incremental.stored().partitions]
         assert ids == sorted(ids) and len(ids) == len(set(ids))
-        # The retry's delta carried every pre-failure partition verbatim.
-        delta = compute_reorg_delta(
-            snapshot_before.metadata, incremental.stored().metadata
+        # The retry left every pre-failure partition as it was.
+        kept = len(snapshot_before.metadata.partitions)
+        assert (
+            incremental.stored().metadata.partitions[:kept]
+            == snapshot_before.metadata.partitions
         )
-        assert len(delta.carried_new) == len(snapshot_before.metadata.partitions)
         # Every row of both batches is queryable.
         merged = Table.concat([first, doomed])
         result = QueryExecutor(store).execute(incremental.stored(), query)
@@ -244,8 +244,8 @@ class TestIngestAtomicity:
 
 
 class TestEvaluatorSync:
-    """An attached CostEvaluator prices the live materialized metadata and
-    is revalidated surgically as batches append."""
+    """An attached CostEvaluator prices the live materialized metadata: each
+    append registers the new snapshot, invalidating the old one's prices."""
 
     def _build(self, store, simple_schema, simple_table):
         from repro.core import CostEvaluator
@@ -262,31 +262,16 @@ class TestEvaluatorSync:
         query = Query(predicate=between("x", 10.0, 40.0))
         assert evaluator.query_cost(layout, query) == 0.0  # nothing ingested yet
         incremental.ingest(make_batch(simple_schema, rng))
-        key = query.cache_key()
-        cached = evaluator._query_costs[layout.layout_id]
-        # The cached entry was revalidated in place, not dropped...
-        assert key in cached
-        # ...and matches the scalar oracle on the *materialized* metadata.
+        # The append registered the new snapshot: the price cached against
+        # the empty store is gone, not served stale...
+        assert evaluator._metadata[layout.layout_id] is incremental.stored().metadata
+        assert evaluator.cache_sizes() == (1, 0)
+        # ...and repricing matches the scalar oracle on the *materialized* metadata.
         expected = incremental.stored().metadata.accessed_fraction(query.predicate)
-        assert cached[key] == expected
         assert evaluator.query_cost(layout, query) == expected
         incremental.ingest(make_batch(simple_schema, rng, n=200))
         expected = incremental.stored().metadata.accessed_fraction(query.predicate)
-        assert cached[key] == expected
-
-    def test_append_delta_touches_only_new_partitions(
-        self, store, simple_schema, simple_table, rng
-    ):
-        from repro.layouts import compute_reorg_delta
-
-        incremental, evaluator, layout = self._build(store, simple_schema, simple_table)
-        incremental.ingest(make_batch(simple_schema, rng))
-        before = incremental.stored().metadata
-        incremental.ingest(make_batch(simple_schema, rng, n=100))
-        after = incremental.stored().metadata
-        delta = compute_reorg_delta(before, after)
-        assert len(delta.carried_new) == len(before.partitions)
-        assert len(delta.changed) == len(after.partitions) - len(before.partitions)
+        assert evaluator.query_cost(layout, query) == expected
 
     def test_consolidate_reregisters_new_layout(
         self, store, simple_schema, simple_table, rng

@@ -30,12 +30,6 @@ class TestReorganize:
         reorganize(store, stored, target, simple_table.schema)
         assert not any(path.exists() for path in old_paths)
 
-    def test_keep_old_retains_files(self, store, simple_table, rng):
-        stored = store.materialize(simple_table, RoundRobinLayout(4))
-        target = RangeLayoutBuilder("x").build(simple_table, [], 6, rng)
-        reorganize(store, stored, target, simple_table.schema, keep_old=True)
-        assert all(p.path.exists() for p in stored.partitions)
-
     def test_new_layout_is_queryable(self, store, simple_table, rng):
         from repro.queries import Query, between
         from repro.storage import QueryExecutor
@@ -65,45 +59,3 @@ class TestReorganize:
         stored = store.materialize(simple_table, layout)
         new_stored, _ = reorganize(store, stored, layout, simple_table.schema)
         assert all(p.path.exists() for p in new_stored.partitions)
-
-
-class TestReorgDelta:
-    def test_delta_present_and_consistent(self, store, simple_table, rng):
-        from repro.layouts import compute_reorg_delta
-
-        stored = store.materialize(simple_table, RoundRobinLayout(4))
-        target = RangeLayoutBuilder("x").build(simple_table, [], 6, rng)
-        new_stored, result = reorganize(store, stored, target, simple_table.schema)
-        assert result.delta is not None
-        assert result.delta.old_metadata is stored.metadata
-        assert result.delta.new_metadata is new_stored.metadata
-        # Assignment-derived classification must agree with the metadata
-        # diff wherever the diff can prove a carry.
-        reference = compute_reorg_delta(stored.metadata, new_stored.metadata)
-        assert set(result.delta.changed) >= set(reference.changed)
-
-    def test_identity_reorg_delta_carries_all(self, store, simple_table, rng):
-        # A value-deterministic layout: re-assigning the re-read rows lands
-        # every row in its old partition, so nothing changes.  (Round-robin
-        # would genuinely reshuffle: assignment depends on row order.)
-        layout = RangeLayoutBuilder("x").build(simple_table, [], 6, rng)
-        stored = store.materialize(simple_table, layout)
-        new_stored, result = reorganize(store, stored, layout, simple_table.schema)
-        assert result.delta is not None
-        assert result.delta.changed == ()
-        assert len(result.delta.carried_new) == len(new_stored.metadata.partitions)
-
-    def test_delta_drives_incremental_index(self, store, simple_table, rng):
-        from repro.layouts import ZoneMapIndex
-        from repro.queries import between as between_
-
-        stored = store.materialize(simple_table, RoundRobinLayout(4))
-        index = ZoneMapIndex(stored.metadata)
-        index.masks(between_("x", 0.0, 50.0))
-        target = RangeLayoutBuilder("x").build(simple_table, [], 6, rng)
-        new_stored, result = reorganize(store, stored, target, simple_table.schema)
-        migrated = index.apply_reorg(result.delta)
-        fresh = ZoneMapIndex(new_stored.metadata)
-        probe = between_("x", 0.0, 50.0)
-        np.testing.assert_array_equal(migrated._mask(probe, False), fresh._mask(probe, False))
-        np.testing.assert_array_equal(migrated._mask(probe, True), fresh._mask(probe, True))

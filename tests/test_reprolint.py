@@ -2,7 +2,7 @@
 
 ``python -m tools.reprolint src/repro tools`` is the CI invocation; this
 test runs it the same way so a protocol violation (a partition write
-bypassing staging, a dropped ReorgDelta, a silent engine transition, an
+bypassing staging, a stale evaluator snapshot, a silent engine transition, an
 unguarded ingest path, a kernel without oracle coverage, …) fails the
 ordinary test suite, not just CI.  Unlike the mypy gate there is nothing
 to skip: the checker is pure stdlib.

@@ -3,8 +3,8 @@
 The repository's correctness story rests on protocol invariants that
 unit tests can only probe dynamically: every partition-file mutation
 flows through :class:`PartitionStore` staging (the epoch protocol in
-``docs/architecture.md``), every :class:`ReorgDelta` producer hands its
-delta to ``revalidate``/``apply_reorg``, every engine state transition
+``docs/architecture.md``), every holder of a cost evaluator tells it when
+its metadata snapshot is replaced, every engine state transition
 emits a matching engine event, and the vectorized
 kernels stay loop-free and oracle-checked.  ``reprolint`` enforces those
 protocols *statically* — a pure-stdlib AST pass over the source tree, no
