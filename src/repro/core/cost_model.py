@@ -9,11 +9,13 @@ default 80).
 :class:`CostEvaluator` is the oracle every decision component consults.  It
 estimates ``c(s, q)`` purely from partition-level metadata (never touching
 row data at decision time, matching §VI-A1) and memoizes aggressively:
-layout metadata and its compiled :class:`~repro.layouts.zonemaps.ZoneMapIndex`
-by ``layout_id``, and per-query costs in a per-layout dict keyed by the
-predicate's structural identity (so retiring a layout is an O(1) pop).
+layout metadata by ``layout_id`` (each snapshot owns its compiled
+:class:`~repro.layouts.zonemaps.ZoneMapIndex`), and per-query costs in a
+per-layout dict keyed by the predicate's structural identity (so retiring
+a layout is an O(1) pop).
 
-Four evaluation tiers back the same numbers, widest scope first:
+Four evaluation tiers back the same numbers — and share one atom kernel
+(:func:`repro.layouts.zonemaps._atom_block`) — widest scope first:
 
 * the **stacked 3-D pass** — :meth:`CostEvaluator.cost_matrix` (and
   through it admission, pruning, and the per-step D-UMTS cost dicts)
@@ -37,9 +39,9 @@ Four evaluation tiers back the same numbers, widest scope first:
   falls back to it per node for predicates it cannot lower, and the test
   suite asserts exact agreement between all tiers.
 
-Everything cached for a layout id — the compiled index, the query costs —
-is derived from one metadata *snapshot object* and is dropped when a
-different snapshot is registered for that id
+Everything cached for a layout id — the query costs — is derived from
+one metadata *snapshot object* and is dropped when a different snapshot
+is registered for that id
 (:meth:`CostEvaluator.register_metadata`); nothing is migrated across a
 physical mutation.  ``docs/architecture.md`` ("Cache freshness") states
 the rule and who calls it: :class:`IncrementalStore` on every append and
@@ -101,7 +103,6 @@ class CostEvaluator:
         #: deriving assignments from row data)
         self.table = table
         self._metadata: dict[str, LayoutMetadata] = {}
-        self._zonemaps: dict[str, ZoneMapIndex] = {}
         self._query_costs: dict[str, dict[tuple, float]] = {}
         self._compiled: dict[tuple, CompiledWorkload] = {}
         self._stacked = StackedStateSpace()
@@ -137,24 +138,19 @@ class CostEvaluator:
         know the *actual* on-disk partition statistics, which evolve under
         a fixed layout id; registering them here makes every costing path
         use the catalog's view instead of re-deriving assignments from the
-        layout object.  Registering a different snapshot object drops the
-        compiled index and every cost cached against the old one; a slab
+        layout object.  Registering a different snapshot object drops every
+        cost cached against the old one (its index goes with it); a slab
         the layout already holds in the stacked state space stays and is
         refilled in place the next time the layout is priced.
         """
         if self._metadata.get(layout_id) is metadata:
             return
-        self._zonemaps.pop(layout_id, None)
         self._query_costs.pop(layout_id, None)
         self._metadata[layout_id] = metadata
 
     def zone_maps(self, layout: DataLayout) -> ZoneMapIndex:
-        """Layout's compiled zone-map index (cached)."""
-        cached = self._zonemaps.get(layout.layout_id)
-        if cached is None:
-            cached = ZoneMapIndex(self.metadata(layout))
-            self._zonemaps[layout.layout_id] = cached
-        return cached
+        """The compiled zone-map index of the layout's metadata snapshot."""
+        return self.metadata(layout).zone_maps
 
     def query_cost(self, layout: DataLayout, query: Query) -> float:
         """Fraction of rows accessed by ``query`` under ``layout``; in [0, 1]."""
@@ -348,7 +344,6 @@ class CostEvaluator:
     def forget(self, layout_id: str) -> None:
         """Drop cached state for a retired layout to bound memory: O(1)."""
         self._metadata.pop(layout_id, None)
-        self._zonemaps.pop(layout_id, None)
         self._query_costs.pop(layout_id, None)
         self._stacked.discard(layout_id)
 

@@ -13,8 +13,9 @@ planned and priced from its own snapshot, and the target keeps whatever
 price the evaluator held for it before the move.  At the final commit the
 scheduler applies the cache-freshness rule (``docs/architecture.md``): the
 evaluator registers the committed snapshot under the target id — the
-physical truth replaces any pre-move estimate — and the retired id is
-forgotten on evaluator and executor.
+physical truth replaces any pre-move estimate — and forgets the retired
+id.  The executor needs no word: it plans on the index the visible
+snapshot owns.
 
 Between ticks the caller keeps serving queries with :meth:`serve`, which
 always executes against :attr:`visible` — the old epoch until the final
@@ -230,11 +231,8 @@ class ReorgScheduler:
         retired_id = self._pipeline.old_stored.layout.layout_id
         if self.evaluator is not None:
             self.evaluator.register_metadata(target_id, new_stored.metadata)
-        if retired_id != target_id:  # a same-id rewrite retires nothing
-            if self.evaluator is not None:
-                self.evaluator.forget(retired_id)
-            if self.executor is not None:
-                self.executor.forget(retired_id)
+        if self.evaluator is not None and retired_id != target_id:
+            self.evaluator.forget(retired_id)  # a same-id rewrite retires nothing
         self.reorgs_completed += 1
         self._on_abort = None
         if self._on_complete is not None:

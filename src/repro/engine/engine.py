@@ -645,7 +645,7 @@ class LayoutEngine:
             )
             self._inflight = (source.layout_id, target.layout_id)
             return
-        assert self.store is not None and self.executor is not None
+        assert self.store is not None
         new_stored, result = reorganize(self.store, self._stored, target, self._schema)
         self._charge_alpha()
         # Cache freshness, as the scheduler does at a pipelined commit: the
@@ -653,7 +653,6 @@ class LayoutEngine:
         if self._evaluator is not None:
             self._evaluator.register_metadata(target.layout_id, new_stored.metadata)
             self._evaluator.forget(source.layout_id)
-        self.executor.forget(source.layout_id)
         self._stored = new_stored
         self._committed(source.layout_id, target.layout_id, result)
 
@@ -670,9 +669,6 @@ class LayoutEngine:
         # consolidate() moves the wired evaluator onto the new snapshot.
         result = self._incremental.consolidate(target)
         self._charge_alpha()
-        assert self.executor is not None  # open() created it
-        if source.layout_id != target.layout_id:
-            self.executor.forget(source.layout_id)
         self._committed(source.layout_id, target.layout_id, result)
 
     def _charge_alpha(self) -> None:

@@ -225,9 +225,6 @@ def _replay_physical_direct(
                     reorg_seconds += reorg_result.elapsed_seconds
                     if alpha is not None:
                         movement_charged += alpha
-                    # The old files are gone from disk; release its
-                    # compiled index (the new one compiles on first use).
-                    executor.forget(current_id)
                 num_switches += 1
                 current_id = target_id
             if scheduler is not None and scheduler.pipeline is not None:

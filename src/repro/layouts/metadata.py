@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids cycle)
     from ..storage.table import Table
+    from .zonemaps import ZoneMapIndex
 
 __all__ = [
     "ColumnStats",
@@ -99,6 +100,19 @@ class LayoutMetadata:
             dtype=np.int64,
             count=len(self.partitions),
         )
+
+    @cached_property
+    def zone_maps(self) -> ZoneMapIndex:
+        """This snapshot's compiled zone-map index (cached; immutable).
+
+        The index is a pure function of the snapshot, so the snapshot owns
+        the one copy: whoever holds the snapshot — executor, cost
+        evaluator — plans on the same compiled arrays, and an index can
+        never outlive or lag the metadata it was compiled from.
+        """
+        from .zonemaps import ZoneMapIndex
+
+        return ZoneMapIndex(self)
 
     def relevant_partitions(self, predicate) -> list[PartitionMetadata]:
         """Partitions that cannot be skipped for ``predicate`` (sound)."""

@@ -12,11 +12,13 @@ a small ``(atoms × partitions)`` block.
 every layout's dense zone arrays (min/max vectors, stats/distinct flags,
 packed ``uint64`` distinct-set bitmaps re-coded onto one shared value
 union) into ``(layouts × partitions)`` slabs with a validity mask, and
-evaluates a compiled workload's group kernels over the *flattened*
+runs the compiled workload's reduction
+(:meth:`CompiledWorkload._reduce`) over the *flattened*
 ``layouts·partitions`` axis — emitting the full ``(layouts × queries ×
 partitions)`` may-match / matches-all tensor in the same handful of
 broadcasted comparisons a single layout used to cost.  Because every
-kernel is the very same :class:`CompiledWorkload` branch running on the
+block comes from the one atom kernel
+(:func:`repro.layouts.zonemaps._atom_block`) running on the
 concatenation of the very same per-layout arrays, each layout's slice of
 the tensor is bit-for-bit identical to the per-layout compiled pass (and
 therefore to the scalar ``may_match`` oracle) — asserted by the
@@ -69,6 +71,7 @@ import numpy as np
 from .workload_compiler import CompiledWorkload
 from .zonemaps import (
     ZoneMapIndex,
+    _atom_block,
     _ColumnZones,
     _fractions_from_matrix,
     _Unsupported,
@@ -571,47 +574,14 @@ class StackedStateSpace:
         return buffer[:need].reshape(rows, cols)
 
     def _evaluate(self, compiled: CompiledWorkload, want_all: bool) -> np.ndarray:
-        """``(queries, slots·width)`` flat matrix over all slabs at once.
-
-        Mirrors :meth:`CompiledWorkload._evaluate` — same group blocks,
-        same pre-planned depth-layer AND-reduction — with the partition
-        axis widened to the whole stack.
-        """
-        width = len(self._indexes) * self._p_cap
-        if compiled._num_atoms:
-            # Group kernels write straight into their slice of the block
-            # matrix: no per-group allocation, no vstack copy.
-            stacked = self._scratch(
-                "blocks", compiled._num_unique_atoms, width
-            )
-            offset = 0
-            for group in compiled._groups:
-                rows = len(group.unodes)
-                self._group_block(
-                    compiled, group, want_all, stacked[offset : offset + rows]
-                )
-                offset += rows
-            reduced = np.take(stacked, compiled._base_rows, axis=0)
-            for owner_ranks, atom_rows in compiled._layers:
-                gathered = np.take(
-                    stacked,
-                    atom_rows,
-                    axis=0,
-                    out=self._scratch("layer", len(atom_rows), width),
-                )
-                if owner_ranks is None:
-                    np.logical_and(reduced, gathered, out=reduced)
-                else:
-                    reduced[owner_ranks] &= gathered
-            if compiled._covers_all:
-                out = reduced  # target rows are exactly 0..Q-1, in order
-            else:
-                out = np.ones((compiled.num_queries, width), dtype=bool)
-                out[compiled._target_rows] = reduced
-        else:
-            out = np.ones((compiled.num_queries, width), dtype=bool)
-        for row in compiled._false_rows:
-            out[row] = False
+        """``(queries, slots·width)`` flat matrix over all slabs at once:
+        the compiled workload's own reduction, with the partition axis
+        widened to the whole stack."""
+        out = compiled._reduce(
+            len(self._indexes) * self._p_cap,
+            lambda group, block: self._group_block(group, want_all, block),
+            self._scratch,
+        )
         if compiled._residue:
             # Residue predicates are exact via each layout's per-predicate
             # path — the same tier the per-layout compiled pass uses.
@@ -624,19 +594,13 @@ class StackedStateSpace:
                     segment[row] &= index._mask(node, want_all)
         return out
 
-    def _group_block(
-        self,
-        compiled: CompiledWorkload,
-        group,
-        want_all: bool,
-        out: np.ndarray,
-    ) -> None:
+    def _group_block(self, group, want_all: bool, out: np.ndarray) -> None:
         """One group's ``(unique_atoms, slots·width)`` mask block → ``out``.
 
-        The stacked kernel covers every slab in one broadcasted call;
-        slabs that cannot ride it — unsupported (residue-layout) columns,
-        or every slab when an ``In`` group lacks a uniform distinct
-        mapping — are overwritten with the per-layout
+        The atom kernel covers every slab in one broadcasted call; slabs
+        that cannot ride it — unsupported (residue-layout) columns, or
+        every slab when an ``In`` group lacks a uniform distinct mapping —
+        are overwritten with the per-layout
         :meth:`CompiledWorkload._group_matrix` block, which is exactly
         what the per-layout compiled pass would produce.
         """
@@ -646,7 +610,7 @@ class StackedStateSpace:
             fallback: set[int] | None = None  # every live slot falls back
         else:
             fallback = column.unsupported
-            compiled._group_mask(group, zones, want_all, out)
+            _atom_block(zones, group.kind, group.first, group.second, want_all, out)
             if not fallback:
                 return
         for slot, index in enumerate(self._indexes):
@@ -655,6 +619,6 @@ class StackedStateSpace:
             if fallback is not None and slot not in fallback:
                 continue
             base = slot * self._p_cap
-            compiled._group_matrix(
+            CompiledWorkload._group_matrix(
                 group, index, want_all, out[:, base : base + index.num_partitions]
             )

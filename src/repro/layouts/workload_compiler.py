@@ -30,12 +30,13 @@ Evaluating the compiled workload against a layout's
 :class:`~repro.layouts.zonemaps.ZoneMapIndex` then produces the full
 ``(num_queries, num_partitions)`` may-match or matches-all matrix in a
 handful of broadcasted comparisons — one ``(num_atoms, num_partitions)``
-mask per group plus the single fused reduction — instead of one
-``_mask`` recursion per query.  Because every group kernel mirrors the
-corresponding ``ZoneMapIndex`` branch operation for operation, the
-output is bit-for-bit identical to both the per-predicate path and the
-scalar ``may_match``/``matches_all`` oracle (asserted by the
-equivalence and property test suites).
+block per group from the shared atom kernel
+(:func:`repro.layouts.zonemaps._atom_block`) plus the single fused
+reduction (:meth:`CompiledWorkload._reduce`) — instead of one ``_mask``
+recursion per query.  The per-predicate path evaluates an atom as a
+one-row block of the same kernel, so the output is bit-for-bit identical
+to it and to the scalar ``may_match``/``matches_all`` oracle (asserted
+by the equivalence and property test suites).
 
 Conjunction semantics make the reduction exact: for ``And`` nodes both
 ``may_match`` and ``matches_all`` distribute over children as logical
@@ -48,7 +49,7 @@ widest scope first:
 1. **stacked 3-D pass** — :class:`repro.layouts.stacked.StackedStateSpace`
    evaluates one compiled workload against *every* layout in the state
    space at once, emitting the ``(layouts × queries × partitions)``
-   tensor from the same group kernels run over the concatenated slabs;
+   tensor from this module's reduction run over the concatenated slabs;
 2. **per-layout compiled pass** (this module) — one
    ``(queries × partitions)`` matrix per :class:`ZoneMapIndex`; the
    stacked tier drops *residue layouts* (non-vectorizable columns) back
@@ -65,7 +66,7 @@ widest scope first:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -80,12 +81,10 @@ from ..queries.predicates import (
 )
 from .zonemaps import (
     ZoneMapIndex,
-    _ColumnZones,
+    _atom_block,
     _fractions_from_matrix,
     _maybe_exact_float,
-    _pack_value_set,
     _Unsupported,
-    _WORD_BITS,
 )
 
 __all__ = ["CompiledWorkload"]
@@ -108,18 +107,7 @@ class _AtomGroup:
     duplicate comparisons it replaces.
     """
 
-    __slots__ = (
-        "column",
-        "kind",
-        "owners",
-        "nodes",
-        "values",
-        "lows",
-        "highs",
-        "raw",
-        "unodes",
-        "inverse",
-    )
+    __slots__ = ("column", "kind", "owners", "nodes", "first", "second", "unodes", "inverse")
 
     def __init__(self, column: str, kind: str):
         self.column = column
@@ -127,12 +115,13 @@ class _AtomGroup:
         self.owners: list[int] = []
         #: original AST nodes, for the per-predicate fallback path
         self.nodes: list[Predicate] = []
-        #: accumulation lists while building; frozen to float64 arrays
-        #: (except for "in" groups' values) by :meth:`freeze`
-        self.values: list[float] | np.ndarray = []  # comparisons
-        self.lows: list[float] | np.ndarray = []  # betweens
-        self.highs: list[float] | np.ndarray = []
-        self.raw: list = []  # original ==/!= constants, for membership tests
+        #: the constants, in the shape ``_atom_block`` takes them —
+        #: comparison: float64 values / raw values (distinct sets are keyed
+        #: by the raw ones); between: lows / highs; in: value sets / unused.
+        #: Accumulation lists while building; :meth:`freeze` dedups them and
+        #: turns the float lists into ``(atoms, 1)`` columns.
+        self.first: list | np.ndarray = []
+        self.second: list | np.ndarray = []
         #: deduplicated nodes and the expansion gather, set by freeze()
         self.unodes: list[Predicate] = []
         self.inverse: np.ndarray | None = None
@@ -142,11 +131,11 @@ class _AtomGroup:
         # original relative order, so "no duplicates" means the expansion
         # gather is the identity and can be skipped outright.
         if self.kind == "between":
-            keys = list(zip(self.lows, self.highs, strict=True))
+            keys = list(zip(self.first, self.second, strict=True))
         elif self.kind == "in":
             keys = [node.values for node in self.nodes]
         else:
-            keys = self.values
+            keys = self.first
         slots: dict = {}
         first: list[int] = []
         inverse: list[int] = []
@@ -156,17 +145,23 @@ class _AtomGroup:
                 slot = slots[key] = len(first)
                 first.append(position)
             inverse.append(slot)
-        if self.kind == "between":
-            self.lows = np.asarray([self.lows[i] for i in first], dtype=np.float64)
-            self.highs = np.asarray([self.highs[i] for i in first], dtype=np.float64)
-        elif self.kind != "in":
-            self.values = np.asarray([self.values[i] for i in first], dtype=np.float64)
-            self.raw = [self.raw[i] for i in first]
         self.unodes = [self.nodes[i] for i in first]
+        if self.kind == "in":
+            self.first = [node.values for node in self.unodes]
+        else:
+            self.first = np.asarray([self.first[i] for i in first], dtype=np.float64)[:, None]
+            self.second = [self.second[i] for i in first]
+            if self.kind == "between":
+                self.second = np.asarray(self.second, dtype=np.float64)[:, None]
         if len(first) == len(self.nodes):
             self.inverse = None
         else:
             self.inverse = np.asarray(inverse, dtype=np.int64)
+
+
+def _fresh_block(_role: str, rows: int, cols: int) -> np.ndarray:
+    """The default :meth:`CompiledWorkload._reduce` workspace: a new array."""
+    return np.empty((rows, cols), dtype=bool)
 
 
 class CompiledWorkload:
@@ -214,8 +209,8 @@ class CompiledWorkload:
                 group = groups[key] = _AtomGroup(node.column, node.op)
             group.owners.append(row)
             group.nodes.append(node)
-            group.values.append(value)
-            group.raw.append(node.value)
+            group.first.append(value)
+            group.second.append(node.value)
         elif node_type is Between:
             low = _maybe_exact_float(node.low)
             high = _maybe_exact_float(node.high)
@@ -228,8 +223,8 @@ class CompiledWorkload:
                 group = groups[key] = _AtomGroup(node.column, "between")
             group.owners.append(row)
             group.nodes.append(node)
-            group.lows.append(low)
-            group.highs.append(high)
+            group.first.append(low)
+            group.second.append(high)
         elif node_type is In:
             key = (node.column, "in")
             group = groups.get(key)
@@ -326,243 +321,86 @@ class CompiledWorkload:
             self.prune_matrix(index), index.row_counts, index.total_rows
         )
 
-    def _evaluate(self, index: ZoneMapIndex, want_all: bool) -> np.ndarray:
-        num_cols = index.num_partitions
+    def _reduce(
+        self,
+        width: int,
+        fill_block: Callable[[_AtomGroup, np.ndarray], None],
+        scratch: Callable[[str, int, int], np.ndarray] = _fresh_block,
+    ) -> np.ndarray:
+        """``(num_queries, width)`` AND of every query's supported atoms.
+
+        ``fill_block(group, out)`` writes one group's ``(unique atoms ×
+        width)`` mask block; the blocks are folded into query rows along
+        the depth layers :meth:`_plan_reduction` laid out.  ``scratch(role,
+        rows, cols)`` supplies the workspaces for the block matrix and the
+        layer gathers (a caller with multi-megabyte blocks passes reusable
+        ones); the returned matrix is always freshly allocated (the caller
+        owns it).  Residue conjuncts are the caller's to fold in.
+        """
         if self._num_atoms:
             # _plan_reduction pinned both row maps when atoms exist.
             assert self._base_rows is not None and self._target_rows is not None
             # Group kernels write straight into their slice of the block
             # matrix: no per-group allocation, no vstack copy.
-            stacked = np.empty((self._num_unique_atoms, num_cols), dtype=bool)
+            stacked = scratch("blocks", self._num_unique_atoms, width)
             offset = 0
             for group in self._groups:
                 rows = len(group.unodes)
-                self._group_matrix(
-                    group, index, want_all, stacked[offset : offset + rows]
-                )
+                fill_block(group, stacked[offset : offset + rows])
                 offset += rows
-            reduced = stacked[self._base_rows]
+            reduced = np.take(stacked, self._base_rows, axis=0)
             for owner_ranks, atom_rows in self._layers:
+                gathered = np.take(
+                    stacked, atom_rows, axis=0, out=scratch("layer", len(atom_rows), width)
+                )
                 if owner_ranks is None:
-                    np.logical_and(reduced, stacked[atom_rows], out=reduced)
+                    np.logical_and(reduced, gathered, out=reduced)
                 else:
-                    reduced[owner_ranks] &= stacked[atom_rows]
+                    reduced[owner_ranks] &= gathered
             if self._covers_all:
                 out = reduced  # target rows are exactly 0..Q-1, in order
             else:
-                out = np.ones((self.num_queries, num_cols), dtype=bool)
+                out = np.ones((self.num_queries, width), dtype=bool)
                 out[self._target_rows] = reduced
         else:
-            out = np.ones((self.num_queries, num_cols), dtype=bool)
+            out = np.ones((self.num_queries, width), dtype=bool)
         for row in self._false_rows:
             out[row] = False
+        return out
+
+    def _evaluate(self, index: ZoneMapIndex, want_all: bool) -> np.ndarray:
+        out = self._reduce(
+            index.num_partitions,
+            lambda group, block: self._group_matrix(group, index, want_all, block),
+        )
         for row, node in self._residue:
             out[row] &= index._mask(node, want_all)
         return out
 
     @staticmethod
-    def _assign(out: np.ndarray | None, block: np.ndarray) -> np.ndarray:
-        if out is None:
-            return block
-        out[:] = block
-        return out
-
     def _group_matrix(
-        self,
-        group: _AtomGroup,
-        index: ZoneMapIndex,
-        want_all: bool,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``(num_unique_atoms_in_group, num_partitions)`` mask block.
+        group: _AtomGroup, index: ZoneMapIndex, want_all: bool, out: np.ndarray
+    ) -> None:
+        """Write one group's ``(unique atoms × partitions)`` block into ``out``.
 
         Kernels and fallbacks run over the group's *unique* constants;
         duplicate atoms are never materialized — the pre-planned
-        reduction's row indices point straight at the unique rows.  With
-        ``out`` the block is written in place (a slice of the caller's
-        block matrix); the values are identical either way.
+        reduction's row indices point straight at the unique rows.
         """
         try:
             zones = index._column(group.column)
         except _Unsupported:
-            return self._assign(out, self._fallback_matrix(group, index, want_all))
-        if zones is None:
+            per_atom = True  # non-numeric boundaries: down to the scalar oracle
+        else:
+            # Mixed or absent distinct sets: the per-atom path handles the
+            # min/max branch and the per-partition mixing exactly.
+            per_atom = zones is not None and group.kind == "in" and not zones.all_distinct
+        if per_atom:
+            for row, node in enumerate(group.unodes):
+                out[row] = index._mask(node, want_all)
+        elif zones is None:
             # Column in no partition's stats: may_match is vacuously True
             # (no-op under AND); matches_all is False for every partition.
-            if out is None:
-                return np.full(
-                    (len(group.unodes), index.num_partitions), not want_all, dtype=bool
-                )
             out[:] = not want_all
-            return out
-        if group.kind == "in" and not zones.all_distinct:
-            # Mixed or absent distinct sets: the per-atom path handles
-            # the min/max branch and the per-partition mixing exactly.
-            return self._assign(out, self._fallback_matrix(group, index, want_all))
-        return self._group_mask(group, zones, want_all, out)
-
-    @staticmethod
-    def _fallback_matrix(
-        group: _AtomGroup, index: ZoneMapIndex, want_all: bool
-    ) -> np.ndarray:
-        rows = [index._mask(node, want_all) for node in group.unodes]
-        return np.stack(rows) if len(rows) > 1 else rows[0][None, :]
-
-    # ------------------------------------------------------------ group kernels
-    def _group_mask(
-        self,
-        group: _AtomGroup,
-        zones: _ColumnZones,
-        want_all: bool,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``(num_atoms, num_partitions)`` mask for one group.
-
-        Each branch is the broadcasted form of the matching
-        ``ZoneMapIndex`` branch; keep the two in sync.  ``out``, when
-        given, receives the result in place (the hot paths pass a slice
-        of the pre-allocated block matrix); the bits are identical.
-        """
-        if group.kind == "in":
-            mask = self._in_group_mask(group, zones, want_all, out)
-        elif group.kind == "between":
-            lows = np.asarray(group.lows)[:, None]
-            highs = np.asarray(group.highs)[:, None]
-            if not want_all:
-                mask = np.greater_equal(zones.maxs[None, :], lows, out=out)
-                mask &= zones.mins[None, :] <= highs
-            else:
-                mask = np.greater_equal(zones.mins[None, :], lows, out=out)
-                mask &= zones.maxs[None, :] <= highs
         else:
-            mask = self._comparison_group_mask(group, zones, want_all, out)
-        if zones.all_stats:
-            return mask
-        if not want_all:
-            mask |= ~zones.has_stats[None, :]
-            return mask
-        mask &= zones.has_stats[None, :]
-        return mask
-
-    def _comparison_group_mask(
-        self,
-        group: _AtomGroup,
-        zones: _ColumnZones,
-        want_all: bool,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        mins = zones.mins[None, :]
-        maxs = zones.maxs[None, :]
-        values = np.asarray(group.values)[:, None]
-        op = group.kind
-        if not want_all:
-            if op == "==":
-                if not zones.any_distinct:
-                    mask = np.less_equal(mins, values, out=out)
-                    mask &= values <= maxs
-                    return mask
-                if zones.all_distinct:
-                    return self._member_matrix(group, zones, out)
-                member = self._member_matrix(group, zones)
-                in_range = (mins <= values) & (values <= maxs)
-                return self._assign(
-                    out, np.where(zones.has_distinct[None, :], member, in_range)
-                )
-            if op == "!=":
-                mask = np.equal(mins, values, out=out)
-                mask &= maxs == values
-                return np.logical_not(mask, out=mask)
-            if op == "<":
-                return np.less(mins, values, out=out)
-            if op == "<=":
-                return np.less_equal(mins, values, out=out)
-            if op == ">":
-                return np.greater(maxs, values, out=out)
-            return np.greater_equal(maxs, values, out=out)  # ">="
-        if op == "==":
-            mask = np.equal(mins, values, out=out)
-            mask &= maxs == values
-            return mask
-        if op == "!=":
-            if not zones.any_distinct:
-                mask = np.less(values, mins, out=out)
-                mask |= values > maxs
-                return mask
-            if zones.all_distinct:
-                member = self._member_matrix(group, zones, out)
-                return np.logical_not(member, out=member)
-            member = self._member_matrix(group, zones)
-            outside = (values < mins) | (values > maxs)
-            return self._assign(
-                out, np.where(zones.has_distinct[None, :], ~member, outside)
-            )
-        if op == "<":
-            return np.less(maxs, values, out=out)
-        if op == "<=":
-            return np.less_equal(maxs, values, out=out)
-        if op == ">":
-            return np.greater(mins, values, out=out)
-        return np.greater_equal(mins, values, out=out)  # ">="
-
-    @staticmethod
-    def _member_matrix(
-        group: _AtomGroup, zones: _ColumnZones, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``member[a, p]``: is atom ``a``'s constant in partition ``p``'s
-        distinct set?  One bitmap gather for all atoms with known codes."""
-        num_parts = len(zones.mins)
-        rows: list[int] = []
-        codes: list[int] = []
-        if zones.bitmap is not None:
-            value_index = zones.value_index
-            for atom, value in enumerate(group.raw):
-                position = value_index.get(value)
-                if position is not None:
-                    rows.append(atom)
-                    codes.append(position)
-        if out is None:
-            member = np.zeros((len(group.raw), num_parts), dtype=bool)
-        else:
-            member = out
-            if len(rows) < len(group.raw):
-                member[:] = False  # rows without a known code stay all-False
-        if not rows:
-            return member
-        code_array = np.asarray(codes, dtype=np.int64)
-        row_array = np.asarray(rows, dtype=np.int64)
-        if zones.unpacked is not None:
-            # Pre-expanded bitmap (stacked state space): pure bool gather.
-            member[row_array] = zones.unpacked[:, code_array].T
-            return member
-        words = zones.bitmap[:, code_array // _WORD_BITS]  # (parts, found)
-        bits = np.left_shift(np.uint64(1), (code_array % _WORD_BITS).astype(np.uint64))
-        member[row_array] = ((words & bits[None, :]) != 0).T
-        return member
-
-    @staticmethod
-    def _in_group_mask(
-        group: _AtomGroup,
-        zones: _ColumnZones,
-        want_all: bool,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Bitmap kernels for IN atoms; only called when every partition
-        carries a distinct set (``zones.all_distinct``)."""
-        num_words = zones.bitmap.shape[1]
-        packed = np.empty((len(group.unodes), num_words), dtype=np.uint64)
-        for atom, node in enumerate(group.unodes):
-            packed[atom] = _pack_value_set(node.values, zones.value_index, num_words)
-        num_parts = len(zones.mins)
-        if out is None:
-            mask = np.empty((len(group.unodes), num_parts), dtype=bool)
-        else:
-            mask = out
-        if not want_all:
-            mask[:] = False
-            for word in range(num_words):
-                mask |= (zones.bitmap[:, word][None, :] & packed[:, word][:, None]) != 0
-            return mask
-        mask[:] = True
-        for word in range(num_words):
-            mask &= (zones.bitmap[:, word][None, :] & ~packed[:, word][:, None]) == 0
-        return mask
+            _atom_block(zones, group.kind, group.first, group.second, want_all, out)

@@ -26,36 +26,43 @@ understand — user-defined ``Predicate`` subclasses, non-numeric zone
 boundaries — fall back to the scalar loop for that node only, so the
 engine is never *less* general than the oracle.
 
-Evaluation tiers sharing these compiled arrays, widest scope first:
+An atom is lowered to zone-map arithmetic in exactly one place,
+:func:`_atom_block`: an ``(atoms × partitions)`` mask block for the atoms
+of one column and operator.  Every tier is a caller of it, differing only
+in how many atoms and how wide a partition axis it passes:
 
 * the **stacked state space** —
   :class:`~repro.layouts.stacked.StackedStateSpace` pads every layout's
-  dense zone arrays into ``(layouts × partitions)`` slabs and runs the
-  batched kernels over the whole state space at once, emitting
-  ``(layouts × queries × partitions)`` tensors for admission, pruning
-  and cost-matrix batching;
+  dense zone arrays into ``(layouts × partitions)`` slabs and asks for
+  blocks over the whole state space at once, emitting ``(layouts ×
+  queries × partitions)`` tensors for admission, pruning and cost-matrix
+  batching;
 * the **batched fast path** —
   :class:`~repro.layouts.workload_compiler.CompiledWorkload` compiles a
-  whole query sample (grouping atoms by column and operator) and produces
-  the full ``(num_queries, num_partitions)`` matrices in one column-wise
-  pass; the decision loops (cost evaluator, admission, batch planning)
-  run here;
+  whole query sample (grouping atoms by column and operator), asks for
+  one block per group and folds them into the full ``(num_queries,
+  num_partitions)`` matrices; the decision loops (cost evaluator,
+  admission, batch planning) run here;
 * the **per-predicate path** — :meth:`ZoneMapIndex.prune_matrix` /
   :meth:`ZoneMapIndex.may_match_mask` recurse ``_mask`` once per
-  predicate, vectorized across partitions; single-query planning and the
+  predicate, each atom a one-row block; single-query planning and the
   batched path's residue (``Or``/``Not`` subtrees, unsupported atoms)
-  run here;
+  run here.  The one atom shape with no block form — ``In`` over a
+  column where only some partitions carry a distinct set — lives here
+  too (:meth:`ZoneMapIndex._mixed_in_mask`);
 * the **scalar oracle** — ``Predicate.may_match`` looped over
-  ``PartitionMetadata``; the reference semantics both fast tiers are
-  asserted bit-for-bit against, and the per-node fallback for anything
-  the compiler cannot lower.
+  ``PartitionMetadata``; the reference semantics the kernel is asserted
+  bit-for-bit against, and the per-node fallback for anything it cannot
+  lower.
 
 An index is a pure function of the metadata *snapshot object* it was
-compiled from (:attr:`ZoneMapIndex.metadata`) and is never updated in
-place: a physical mutation installs a new snapshot, and every cache that
-holds an index compares snapshot identity and compiles a fresh one
-(``docs/architecture.md``, "Cache freshness").  Compiling is linear in
-partitions — noise next to the reorganization that made it necessary.
+compiled from, so the snapshot owns it
+(:attr:`LayoutMetadata.zone_maps <repro.layouts.metadata.LayoutMetadata.zone_maps>`)
+and it is never updated in place: a physical mutation installs a new
+snapshot, which compiles its own (``docs/architecture.md``, "Cache
+freshness").  The index keeps the snapshot's partitions, not the
+snapshot — no cycle, so both die by reference count.  Compiling is linear
+in partitions — noise next to the reorganization that made it necessary.
 """
 
 # reprolint: vectorized
@@ -267,6 +274,113 @@ def _compile_column(partitions, name: str) -> _ColumnZones | None:
     return _ColumnZones(mins, maxs, has_stats, has_distinct, bitmap, value_index)
 
 
+def _member_block(zones: _ColumnZones, raw: Sequence, out: np.ndarray) -> np.ndarray:
+    """``out[a, p]``: is constant ``raw[a]`` in partition ``p``'s distinct set?
+
+    One bitmap gather for all constants with a known code; rows of unknown
+    constants are all-False.
+    """
+    bitmap = zones.bitmap
+    rows: list[int] = []
+    codes: list[int] = []
+    if bitmap is not None:
+        value_index = zones.value_index
+        for atom, value in enumerate(raw):
+            position = value_index.get(value)
+            if position is not None:
+                rows.append(atom)
+                codes.append(position)
+    if len(rows) < len(raw):
+        out[:] = False
+    if bitmap is None or not rows:
+        return out
+    code_array = np.asarray(codes, dtype=np.int64)
+    if zones.unpacked is not None:
+        # Pre-expanded bitmap (stacked state space): pure bool gather.
+        out[rows] = zones.unpacked[:, code_array].T
+        return out
+    words = bitmap[:, code_array // _WORD_BITS]  # (partitions, found)
+    bits = np.left_shift(np.uint64(1), (code_array % _WORD_BITS).astype(np.uint64))
+    out[rows] = ((words & bits[None, :]) != 0).T
+    return out
+
+
+def _atom_block(
+    zones: _ColumnZones, kind: str, first, second, want_all: bool, out: np.ndarray
+) -> None:
+    """Write one ``(atoms × partitions)`` mask block of a column into ``out``.
+
+    The one lowering of an atom to zone-map arithmetic, shared by every
+    tier: ``out[a, p]`` is the may-match (``want_all`` False) or
+    matches-all bit of atom ``a`` on partition ``p``, bit-for-bit the scalar
+    oracle's answer.  ``kind`` is a comparison operator, ``"between"`` or
+    ``"in"``; the constants are
+
+    * comparison — ``first`` the float64 constants, ``second`` the raw
+      constants (distinct sets are keyed by the raw values);
+    * ``"between"`` — ``first`` the lows, ``second`` the highs;
+    * ``"in"`` — ``first`` the value sets, one per atom; every partition
+      that is read from the result must carry a distinct set.
+
+    Float constants are scalars (a single atom) or ``(atoms, 1)`` columns;
+    both broadcast against the ``(1, partitions)`` zone rows.
+    """
+    if kind == "!=":
+        # The oracle's ``!=`` is the complement of ``==`` on the other side.
+        _atom_block(zones, "==", first, second, not want_all, out)
+        np.logical_not(out, out=out)
+        return
+    mins = zones.mins[None, :]
+    maxs = zones.maxs[None, :]
+    if kind == "in":
+        bitmap = zones.bitmap
+        assert bitmap is not None  # some partition carries a distinct set
+        num_words = bitmap.shape[1]
+        packed = np.empty((len(first), num_words), dtype=np.uint64)
+        for atom, values in enumerate(first):
+            packed[atom] = _pack_value_set(values, zones.value_index, num_words)
+        out[:] = want_all
+        for word in range(num_words):
+            column = bitmap[:, word][None, :]
+            if not want_all:  # the sets intersect
+                out |= (column & packed[:, word][:, None]) != 0
+            else:  # the partition's set is a subset
+                out &= (column & ~packed[:, word][:, None]) == 0
+    elif kind == "between":
+        if not want_all:
+            np.greater_equal(maxs, first, out=out)
+            out &= mins <= second
+        else:
+            np.greater_equal(mins, first, out=out)
+            out &= maxs <= second
+    elif kind == "==":
+        if want_all:
+            np.equal(mins, first, out=out)
+            out &= maxs == first
+        elif zones.all_distinct:
+            _member_block(zones, second, out)
+        else:
+            np.less_equal(mins, first, out=out)
+            out &= first <= maxs
+            if zones.any_distinct:
+                member = _member_block(zones, second, np.empty_like(out))
+                np.copyto(out, member, where=zones.has_distinct[None, :])
+    elif kind == "<":
+        np.less(maxs if want_all else mins, first, out=out)
+    elif kind == "<=":
+        np.less_equal(maxs if want_all else mins, first, out=out)
+    elif kind == ">":
+        np.greater(mins if want_all else maxs, first, out=out)
+    else:  # ">="
+        np.greater_equal(mins if want_all else maxs, first, out=out)
+    if zones.all_stats:
+        return
+    if want_all:
+        out &= zones.has_stats[None, :]
+    else:
+        out |= ~zones.has_stats[None, :]
+
+
 class ZoneMapIndex:
     """Compiled zone maps for one layout: all-partition vectorized pruning.
 
@@ -287,8 +401,10 @@ class ZoneMapIndex:
     _NOT_COMPILABLE = object()
 
     def __init__(self, metadata: LayoutMetadata):
-        self.metadata = metadata
-        partitions = metadata.partitions
+        # The partitions, not the snapshot: the snapshot owns this index
+        # (``LayoutMetadata.zone_maps``), and a back-reference would make the
+        # pair a cycle that only the generational collector frees.
+        self.partitions = partitions = metadata.partitions
         self.num_partitions = len(partitions)
         self.row_counts = np.array(
             [partition.row_count for partition in partitions], dtype=np.float64
@@ -310,7 +426,7 @@ class ZoneMapIndex:
         """
         zones = self._columns.get(name, self._UNCOMPILED)
         if zones is self._UNCOMPILED:
-            partitions = self.metadata.partitions
+            partitions = self.partitions
             if any(name in partition.stats for partition in partitions):
                 zones = _compile_column(partitions, name)
                 if zones is None:
@@ -327,148 +443,54 @@ class ZoneMapIndex:
     def _const(self, fill: bool) -> np.ndarray:
         return np.full(self.num_partitions, fill, dtype=bool)
 
-    def _membership(self, zones: _ColumnZones, value) -> np.ndarray:
-        """Per-partition: is ``value`` in the partition's distinct set?"""
-        member = np.zeros(self.num_partitions, dtype=bool)
-        if zones.bitmap is None:
-            return member
-        position = zones.value_index.get(value)
-        if position is None:
-            return member
-        word = zones.bitmap[:, position // _WORD_BITS]
-        bit = np.uint64(1) << np.uint64(position % _WORD_BITS)
-        np.not_equal(word & bit, 0, out=member)
-        return member
-
-    def _comparison_mask(self, node: Comparison, want_all: bool) -> np.ndarray:
+    def _atom_mask(self, node: Comparison | Between | In, want_all: bool) -> np.ndarray:
+        """One atom's mask: the single row of a one-atom block."""
         zones = self._column(node.column)
         if zones is None:
             return self._const(not want_all)
-        value = _exact_float(node.value)
-        mins, maxs = zones.mins, zones.maxs
-        op = node.op
-        if not want_all:
-            if op == "==":
-                if not zones.any_distinct:
-                    mask = (mins <= value) & (value <= maxs)
-                elif zones.all_distinct:
-                    mask = self._membership(zones, node.value)
-                else:
-                    in_range = (mins <= value) & (value <= maxs)
-                    mask = np.where(
-                        zones.has_distinct, self._membership(zones, node.value), in_range
-                    )
-            elif op == "!=":
-                mask = ~((mins == value) & (maxs == value))
-            elif op == "<":
-                mask = mins < value
-            elif op == "<=":
-                mask = mins <= value
-            elif op == ">":
-                mask = maxs > value
-            else:  # ">="
-                mask = maxs >= value
-            if zones.all_stats:
-                return mask
-            return mask | ~zones.has_stats
-        if op == "==":
-            mask = (mins == value) & (maxs == value)
-        elif op == "!=":
-            if not zones.any_distinct:
-                mask = (value < mins) | (value > maxs)
-            elif zones.all_distinct:
-                mask = ~self._membership(zones, node.value)
-            else:
-                outside = (value < mins) | (value > maxs)
-                mask = np.where(
-                    zones.has_distinct, ~self._membership(zones, node.value), outside
-                )
-        elif op == "<":
-            mask = maxs < value
-        elif op == "<=":
-            mask = maxs <= value
-        elif op == ">":
-            mask = mins > value
-        else:  # ">="
-            mask = mins >= value
-        if zones.all_stats:
-            return mask
-        return mask & zones.has_stats
+        if isinstance(node, In) and not zones.all_distinct:
+            return self._mixed_in_mask(node, zones, want_all)
+        out = np.empty((1, self.num_partitions), dtype=bool)
+        if isinstance(node, Comparison):
+            value = _exact_float(node.value)
+            _atom_block(zones, node.op, value, (node.value,), want_all, out)
+        elif isinstance(node, Between):
+            low, high = _exact_float(node.low), _exact_float(node.high)
+            _atom_block(zones, "between", low, high, want_all, out)
+        else:
+            _atom_block(zones, "in", (node.values,), None, want_all, out)
+        return out[0]
 
-    def _between_mask(self, node: Between, want_all: bool) -> np.ndarray:
-        zones = self._column(node.column)
-        if zones is None:
-            return self._const(not want_all)
-        low, high = _exact_float(node.low), _exact_float(node.high)
-        if not want_all:
-            mask = (zones.maxs >= low) & (zones.mins <= high)
-            if zones.all_stats:
-                return mask
-            return mask | ~zones.has_stats
-        mask = (zones.mins >= low) & (zones.maxs <= high)
-        if zones.all_stats:
-            return mask
-        return mask & zones.has_stats
+    def _mixed_in_mask(self, node: In, zones: _ColumnZones, want_all: bool) -> np.ndarray:
+        """``In`` over a column whose partitions do not all carry a distinct set.
 
-    @staticmethod
-    def _in_values(node: In) -> np.ndarray:
-        """The In values as an exact, sorted float64 array (for min/max tests).
-
-        Only the min/max branches need this; the pure-bitmap paths test
-        membership by hash and never convert, so a lossy value there costs
-        nothing.
+        The min/max test decides; where a partition does carry a set, the
+        bitmap row of the atom block overrides it.  The mix is per
+        partition, so this branch has no group form.
         """
         try:
             ordered_values = sorted(node.values)
         except TypeError:
             raise _Unsupported(node) from None
-        return np.array([_exact_float(v) for v in ordered_values], dtype=np.float64)
-
-    def _in_mask(self, node: In, want_all: bool) -> np.ndarray:
-        zones = self._column(node.column)
-        if zones is None:
-            return self._const(not want_all)
+        values = np.array([_exact_float(v) for v in ordered_values], dtype=np.float64)
         if not want_all:
-            if zones.all_distinct:
-                packed = _pack_value_set(
-                    node.values, zones.value_index, zones.bitmap.shape[1]
-                )
-                mask = (zones.bitmap & packed[None, :]).any(axis=1)
-            else:
-                # Min/max branch: any value inside [min, max].
-                values = self._in_values(node)
-                inside = (zones.mins[:, None] <= values[None, :]) & (
-                    values[None, :] <= zones.maxs[:, None]
-                )
-                mask = inside.any(axis=1)
-                if zones.any_distinct:
-                    packed = _pack_value_set(
-                        node.values, zones.value_index, zones.bitmap.shape[1]
-                    )
-                    intersects = (zones.bitmap & packed[None, :]).any(axis=1)
-                    mask = np.where(zones.has_distinct, intersects, mask)
-            if zones.all_stats:
-                return mask
-            return mask | ~zones.has_stats
-        if zones.all_distinct:
-            packed = _pack_value_set(node.values, zones.value_index, zones.bitmap.shape[1])
-            mask = ((zones.bitmap & ~packed[None, :]) == 0).all(axis=1)
+            inside = (zones.mins[:, None] <= values[None, :]) & (
+                values[None, :] <= zones.maxs[:, None]
+            )
+            mask = inside.any(axis=1)
         else:
-            values = self._in_values(node)
             mask = (zones.mins == zones.maxs) & np.isin(zones.mins, values)
-            if zones.any_distinct:
-                packed = _pack_value_set(
-                    node.values, zones.value_index, zones.bitmap.shape[1]
-                )
-                subset = ((zones.bitmap & ~packed[None, :]) == 0).all(axis=1)
-                mask = np.where(zones.has_distinct, subset, mask)
+        if zones.any_distinct:
+            by_set = np.empty((1, self.num_partitions), dtype=bool)
+            _atom_block(zones, "in", (node.values,), None, want_all, by_set)
+            mask = np.where(zones.has_distinct, by_set[0], mask)
         if zones.all_stats:
             return mask
-        return mask & zones.has_stats
+        return mask & zones.has_stats if want_all else mask | ~zones.has_stats
 
     def _scalar_mask(self, predicate: Predicate, want_all: bool) -> np.ndarray:
         """Reference-oracle fallback for nodes the compiler can't lower."""
-        partitions = self.metadata.partitions
+        partitions = self.partitions
         fn = predicate.matches_all if want_all else predicate.may_match
         return np.fromiter((fn(p) for p in partitions), dtype=bool, count=len(partitions))
 
@@ -480,15 +502,11 @@ class ZoneMapIndex:
         does half the work of computing both masks.
         """
         node_type = type(predicate)
-        try:
-            if node_type is Comparison:
-                return self._comparison_mask(predicate, want_all)
-            if node_type is Between:
-                return self._between_mask(predicate, want_all)
-            if node_type is In:
-                return self._in_mask(predicate, want_all)
-        except _Unsupported:
-            return self._scalar_mask(predicate, want_all)
+        if node_type is Comparison or node_type is Between or node_type is In:
+            try:
+                return self._atom_mask(predicate, want_all)
+            except _Unsupported:
+                return self._scalar_mask(predicate, want_all)
         if node_type is And or node_type is Or:
             # And: may = ∧ may, all = ∧ all; Or: may = ∨ may, all = ∨ all.
             combine = np.ndarray.__and__ if node_type is And else np.ndarray.__or__
@@ -541,7 +559,7 @@ class ZoneMapIndex:
     def relevant_partition_ids(self, predicate: Predicate) -> set[int]:
         """Ids of partitions that cannot be skipped (the BID IN rewrite)."""
         mask = self.may_match_mask(predicate)
-        partitions = self.metadata.partitions
+        partitions = self.partitions
         return {partitions[i].partition_id for i in np.flatnonzero(mask)}
 
     def accessed_fraction(self, predicate: Predicate) -> float:

@@ -7,21 +7,17 @@ those partition files and evaluates the predicate over their rows.  Wall
 clock is measured around the read+filter work, giving the "query time"
 component of Figure 3 and Table I.
 
-Pruning runs on the compiled zone-map engine
-(:class:`~repro.layouts.zonemaps.ZoneMapIndex`): each stored layout's
-metadata is compiled once and reused, so the per-query planning step is a
-single vectorized pass over all partitions instead of a Python loop.
-Batch execution (:meth:`QueryExecutor.execute_batch`) goes further and
-plans a whole query list with one
-:class:`~repro.layouts.workload_compiler.CompiledWorkload` pass, reading
-each surviving partition at most once for the batch.
-
-A compiled index belongs to one metadata snapshot object: a query against
-a stored layout whose ``metadata`` is not the object the cached index was
-compiled from recompiles (``docs/architecture.md``, "Cache freshness").
-A reorganization, a consolidation or a streaming append each install a new
-snapshot, so none of them has to tell the executor anything;
-:meth:`QueryExecutor.forget` only releases a retired layout's index early.
+Pruning runs on the compiled zone-map engine: the stored layout's
+metadata snapshot owns its :class:`~repro.layouts.zonemaps.ZoneMapIndex`
+(:attr:`LayoutMetadata.zone_maps <repro.layouts.metadata.LayoutMetadata.zone_maps>`),
+so the per-query planning step is a single vectorized pass over all
+partitions instead of a Python loop, and the executor holds no index that
+could go stale — a reorganization, a consolidation or a streaming append
+each install a new snapshot, which brings its own index
+(``docs/architecture.md``, "Cache freshness").  Batch execution
+(:meth:`QueryExecutor.execute_batch`) goes further and plans a whole query
+list with one :class:`~repro.layouts.workload_compiler.CompiledWorkload`
+pass, reading each surviving partition at most once for the batch.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..layouts.workload_compiler import CompiledWorkload
-from ..layouts.zonemaps import ZoneMapIndex
 from ..utils import lru_get, lru_put
 from ..queries.query import Query
 from .partition import StoredLayout
@@ -80,17 +75,13 @@ class ScanResult:
 class QueryExecutor:
     """Executes queries against stored layouts with partition pruning.
 
-    The compiled-index and compiled-workload caches are lock-protected,
-    so concurrent ``execute``/``execute_batch`` callers (the sharded
-    router's fan-out threads hitting one engine) cannot corrupt the LRU
-    bookkeeping; execution itself reads immutable snapshots and needs no
-    further coordination.
+    The compiled-workload cache is lock-protected, so concurrent
+    ``execute``/``execute_batch`` callers (the sharded router's fan-out
+    threads hitting one engine) cannot corrupt the LRU bookkeeping;
+    execution itself reads immutable snapshots and needs no further
+    coordination.
     """
 
-    #: Most retirements arrive explicitly (:meth:`forget`), but replay
-    #: drivers can also drop layouts without telling this layer, so the
-    #: compiled-index cache stays LRU-bounded instead of unbounded.
-    ZONEMAP_CACHE_CAP = 16
     #: Batch plans repeat (replay drivers re-run the same sample across
     #: layout switches); compiled workloads are layout-independent, so a
     #: small LRU makes the compile cost a one-time charge per sample.
@@ -98,27 +89,14 @@ class QueryExecutor:
 
     def __init__(self, store: PartitionStore):
         self.store = store
-        self._zonemaps: dict[str, ZoneMapIndex] = {}
         self._compiled: dict[tuple, CompiledWorkload] = {}
         # The plain-dict LRU helpers pop-and-reinsert on every hit, so
         # two concurrent query_batch calls on one executor can interleave
         # mid-refresh and drop or duplicate entries; every cache access
         # serializes on this lock.  Compilation inside the critical
         # section is deliberate: racing callers would otherwise compile
-        # the same index twice and publish whichever finished last.
+        # the same sample twice and publish whichever finished last.
         self._cache_lock = threading.Lock()
-
-    def _zone_maps(self, stored: StoredLayout) -> ZoneMapIndex:
-        """Compiled zone maps for a stored layout (bounded, thread-safe)."""
-        key = stored.layout.layout_id
-        with self._cache_lock:
-            cached = lru_get(self._zonemaps, key)
-            if cached is not None and cached.metadata is stored.metadata:
-                return cached
-            self._zonemaps.pop(key, None)
-            return lru_put(
-                self._zonemaps, key, ZoneMapIndex(stored.metadata), self.ZONEMAP_CACHE_CAP
-            )
 
     def _compiled_workload(self, queries: Sequence[Query]) -> CompiledWorkload:
         """Compiled plan for a query batch (bounded LRU, thread-safe)."""
@@ -134,15 +112,10 @@ class QueryExecutor:
                 )
             return cached
 
-    def forget(self, layout_id: str) -> None:
-        """Drop the compiled index for a retired layout (O(1))."""
-        with self._cache_lock:
-            self._zonemaps.pop(layout_id, None)
-
     def execute(self, stored: StoredLayout, query: Query) -> QueryResult:
         """Run one query: prune partitions by metadata, scan the rest."""
         start = time.perf_counter()
-        relevant_ids = self._zone_maps(stored).relevant_partition_ids(query.predicate)
+        relevant_ids = stored.metadata.zone_maps.relevant_partition_ids(query.predicate)
         rows_matched = 0
         rows_scanned = 0
         bytes_read = 0
@@ -190,9 +163,8 @@ class QueryExecutor:
         if not queries:
             return []
         planning_start = time.perf_counter()
-        index = self._zone_maps(stored)
-        matrix = self._compiled_workload(queries).prune_matrix(index)
-        position_ids = index.metadata.partition_ids
+        matrix = self._compiled_workload(queries).prune_matrix(stored.metadata.zone_maps)
+        position_ids = stored.metadata.partition_ids
         by_id = {partition.partition_id: partition for partition in stored.partitions}
         remaining_uses = dict(
             zip(position_ids.tolist(), matrix.sum(axis=0, dtype=np.int64).tolist(), strict=True)

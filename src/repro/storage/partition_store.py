@@ -41,30 +41,45 @@ class PartitionStore:
     def write_partitions(
         self, table: Table, layout: DataLayout, assignment: np.ndarray
     ) -> StoredLayout:
-        """Write one file per non-empty partition of ``assignment``."""
-        layout_dir = self.root / layout.layout_id
-        if layout_dir.exists():
-            shutil.rmtree(layout_dir)
-        layout_dir.mkdir(parents=True)
+        """Write one file per non-empty partition of ``assignment``.
+
+        The files are written into the staging buffer and flipped in with
+        :meth:`commit_staging`, so rewriting a layout under its own id (a
+        second same-id consolidation) never destroys the live copy before
+        the new one is complete: a write that fails midway discards the
+        staging buffer and leaves the old files in place.  The returned
+        paths point at the live directory.
+        """
+        live = self.root / layout.layout_id
+        staging = self.begin_staging(layout.layout_id)
         stored: list[StoredPartition] = []
-        for partition_id, rows in sorted(partition_row_indices(assignment).items()):
-            path = layout_dir / f"part-{partition_id:05d}.npz"
-            arrays = {name: table[name][rows] for name in table.schema.names()}
-            with open(path, "wb") as handle:
-                if self.compress:
-                    np.savez_compressed(handle, **arrays)
-                else:
-                    np.savez(handle, **arrays)
-            stored.append(
-                StoredPartition(
-                    partition_id=int(partition_id),
-                    path=path,
-                    row_count=int(len(rows)),
-                    byte_size=path.stat().st_size,
+        try:
+            for partition_id, rows in sorted(partition_row_indices(assignment).items()):
+                name = f"part-{partition_id:05d}.npz"
+                stored.append(
+                    StoredPartition(
+                        partition_id=int(partition_id),
+                        path=live / name,
+                        row_count=int(len(rows)),
+                        byte_size=self._write_file(staging / name, table, rows),
+                    )
                 )
-            )
+        except BaseException:
+            self.abort_staging(layout.layout_id)
+            raise
+        self.commit_staging(layout.layout_id)
         metadata = build_layout_metadata(table, assignment)
         return StoredLayout(layout=layout, metadata=metadata, partitions=tuple(stored))
+
+    def _write_file(self, path: Path, table: Table, row_indices: np.ndarray) -> int:
+        """Write ``row_indices`` of ``table`` as one archive; returns its size."""
+        arrays = {name: table[name][row_indices] for name in table.schema.names()}
+        with open(path, "wb") as handle:
+            if self.compress:
+                np.savez_compressed(handle, **arrays)
+            else:
+                np.savez(handle, **arrays)
+        return path.stat().st_size
 
     def write_partition_file(
         self,
@@ -85,17 +100,11 @@ class PartitionStore:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"part-{partition_id:05d}.npz"
-        arrays = {name: table[name][row_indices] for name in table.schema.names()}
-        with open(path, "wb") as handle:
-            if self.compress:
-                np.savez_compressed(handle, **arrays)
-            else:
-                np.savez(handle, **arrays)
         return StoredPartition(
             partition_id=int(partition_id),
             path=path,
             row_count=int(len(row_indices)),
-            byte_size=path.stat().st_size,
+            byte_size=self._write_file(path, table, row_indices),
             epoch=int(epoch),
         )
 

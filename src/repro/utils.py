@@ -9,8 +9,8 @@ def lru_get(cache: dict, key):
     """Bounded-LRU read: refresh recency on hit.
 
     A plain dict is the store — insertion order is the recency order.
-    Shared by the zone-map mask caches, the executor's compiled-index
-    cache, and the cost evaluator's compiled-workload cache.
+    Shared by the zone-map mask caches and the executor's and the cost
+    evaluator's compiled-workload caches.
     """
     value = cache.get(key)
     if value is not None:

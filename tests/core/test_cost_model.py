@@ -150,7 +150,8 @@ class TestCacheChurn:
         metadata_entries, cost_entries = evaluator.cache_sizes()
         assert metadata_entries == 3
         assert cost_entries == 3 * len(queries)
-        assert set(evaluator._zonemaps) == set(survivors)
+        # one index per surviving snapshot, owned by the snapshot
+        assert set(evaluator._metadata) == set(survivors)
 
     def test_forget_unknown_layout_is_noop(self, simple_table):
         evaluator = CostEvaluator(simple_table)
@@ -256,11 +257,8 @@ class TestStackedSlabLifetime:
         # same slot, new index: update_layout, not tombstone + re-add
         assert evaluator._stacked._slots[layout.layout_id] == slot
         assert evaluator._stacked._dead == 0
-        assert (
-            evaluator._stacked.index_for(layout.layout_id)
-            is evaluator._zonemaps[layout.layout_id]
-        )
-        assert evaluator._zonemaps[layout.layout_id].metadata is new_metadata
+        assert evaluator._stacked.index_for(layout.layout_id) is new_metadata.zone_maps
+        assert evaluator.zone_maps(layout) is new_metadata.zone_maps
 
     def test_forget_discards_stacked_slab(self, simple_table):
         evaluator = CostEvaluator(simple_table)

@@ -72,7 +72,7 @@ class TestDifferentialEquivalence:
         # zone maps: the index compiled from the committed snapshot agrees
         # with one compiled from the synchronous metadata on every mask
         compiled_index = evaluator.zone_maps(target)
-        assert compiled_index.metadata is new_stored.metadata
+        assert compiled_index is new_stored.metadata.zone_maps
         fresh = ZoneMapIndex(sync_new.metadata)
         for query in queries:
             np.testing.assert_array_equal(
@@ -103,9 +103,8 @@ class TestDifferentialEquivalence:
         sync_tensor = sync_evaluator._stacked.prune_tensor(compiled, [target.layout_id])
         np.testing.assert_array_equal(committed_tensor, sync_tensor)
 
-        # executor plans: the retired layout's index is gone, and executing
-        # returns the same physical counters
-        assert stored.layout.layout_id not in executor._zonemaps
+        # executor plans: executing the committed snapshot returns the same
+        # physical counters, on the index the evaluator prices with
         sync_executor = QueryExecutor(sync_store)
         for query in queries[:4]:
             ours = executor.execute(new_stored, query)
@@ -113,7 +112,7 @@ class TestDifferentialEquivalence:
             assert ours.rows_matched == theirs.rows_matched
             assert ours.rows_scanned == theirs.rows_scanned
             assert ours.partitions_scanned == theirs.partitions_scanned
-        assert executor._zonemaps[target.layout_id].metadata is new_stored.metadata
+        assert scheduler.visible.metadata.zone_maps is compiled_index
 
     def test_start_leaves_priced_target_untouched_mid_flight(
         self, store, simple_table, target, queries
@@ -566,9 +565,14 @@ class TestIncrementalStoreAsync:
             scheduler.tick()
         scheduler.abort()
         assert not scheduler.active
-        # neither cache ever heard of the abandoned target
+        # the evaluator never heard of the abandoned target, and the old
+        # epoch still plans on its own index
         assert target.layout_id not in evaluator._metadata
-        assert target.layout_id not in executor._zonemaps
+        probe = queries[0]
+        assert (
+            executor.execute(stored, probe).partitions_scanned
+            == len(ZoneMapIndex(stored.metadata).relevant_partition_ids(probe.predicate))
+        )
         # restartable, and completion still matches the synchronous result
         scheduler.start(stored, target, simple_table.schema)
         new_stored, _ = scheduler.drain()

@@ -1,22 +1,23 @@
 """Cache-freshness differential: both caches equal from-scratch builds, always.
 
 ``docs/architecture.md`` ("Cache freshness") states one rule: a physical
-mutation installs a new metadata snapshot object, and whatever the
-executor and the cost evaluator cached against the old one is dropped,
-never migrated.  This suite drives a synchronous materialized engine, a
+mutation installs a new metadata snapshot object, which owns its compiled
+index, and whatever the cost evaluator cached against the old one is
+dropped, never migrated.  This suite drives a synchronous materialized engine, a
 pipelined materialized engine and a streaming engine (all with a
 ``wants_costs`` policy, so the evaluator is wired) through every call that
 mutates physical state, and after **every** call compares
 
-* the executor's pruning set with a from-scratch ``ZoneMapIndex`` over the
-  visible snapshot;
+* the executor's pruning set — the visible snapshot's own index — with a
+  from-scratch ``ZoneMapIndex`` over the visible snapshot;
 * the evaluator's prices — asked directly, not through ``engine.query``,
   which re-registers the current snapshot and would mask a missed
   registration — with the scalar ``accessed_fraction`` oracle, for the
   current layout and for the move's target;
 * mid-flight, the target's price with its pre-move price;
 * after a commit, the evaluator's snapshot for the target with the stored
-  one by identity, and both caches for any trace of the retired id.
+  one by identity, its index with the executor's, and the evaluator for
+  any trace of the retired id.
 """
 
 from __future__ import annotations
@@ -64,8 +65,10 @@ def check(engine, target=None, target_snapshot=None, pre_move=None):
     current = visible.layout
     fresh = ZoneMapIndex(visible.metadata)
     for position, probe in enumerate(PROBES):
-        planned = engine.executor._zone_maps(visible).relevant_partition_ids(probe.predicate)
+        planned = visible.metadata.zone_maps.relevant_partition_ids(probe.predicate)
         assert planned == fresh.relevant_partition_ids(probe.predicate)
+        executed = engine.executor.execute(visible, probe)
+        assert executed.partitions_scanned == len(planned)
         priced = [current] if target is None else [current, target]
         costs = engine.evaluator.costs_for_query(priced, probe)
         assert costs[current.layout_id] == visible.metadata.accessed_fraction(probe.predicate)
@@ -75,14 +78,15 @@ def check(engine, target=None, target_snapshot=None, pre_move=None):
 
 
 def check_committed(engine, retired_id):
-    """After a commit: the target prices from the stored snapshot itself and
-    the retired id left no trace in either cache."""
+    """After a commit: the target prices from the stored snapshot itself —
+    on the very index the executor plans with — and the retired id left no
+    trace in the evaluator."""
     stored = engine.stored()
     assert engine.current_layout is stored.layout
     assert engine.evaluator.metadata(stored.layout) is stored.metadata
     assert not engine.evaluator.has_metadata(retired_id)
     assert engine.evaluator.cache_sizes()[0] == 1
-    assert retired_id not in engine.executor._zonemaps
+    assert engine.evaluator.zone_maps(stored.layout) is stored.metadata.zone_maps
     check(engine)
 
 

@@ -56,7 +56,7 @@ def assert_stack_equivalent(metadatas, predicates):
         np.testing.assert_array_equal(
             all_[position, :, :num], compiled.matches_all_matrix(index)
         )
-        expected_may, expected_all = scalar_matrices(index.metadata, predicates)
+        expected_may, expected_all = scalar_matrices(metadatas[position], predicates)
         np.testing.assert_array_equal(may[position, :, :num], expected_may)
         np.testing.assert_array_equal(all_[position, :, :num], expected_all)
         np.testing.assert_array_equal(

@@ -9,6 +9,9 @@ cannot lower.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -355,3 +358,23 @@ def test_mask_cache_evicts_oldest_first(sorted_metadata):
         index.may_match_mask(between("y", float(i), float(i) + 0.5))
     assert first.cache_key() not in index._may_cache
     assert len(index._may_cache) <= ZoneMapIndex.MASK_CACHE_CAP
+
+
+def test_snapshot_owns_one_index_and_refcount_alone_frees_it(simple_table):
+    """``LayoutMetadata.zone_maps`` is the snapshot's one index, and the
+    index holds no reference back: a snapshot⇄index cycle would only be
+    freed by the generational collector (RSS grows between collections)."""
+    metadata = build_layout_metadata(simple_table, np.arange(simple_table.num_rows) % 6)
+    assert metadata.zone_maps is metadata.zone_maps
+    assert_equivalent(metadata, between("x", 10.0, 20.0))
+    np.testing.assert_array_equal(
+        metadata.zone_maps.may_match_mask(eq("color", 1)),
+        ZoneMapIndex(metadata).may_match_mask(eq("color", 1)),
+    )
+    index = weakref.ref(metadata.zone_maps)
+    gc.disable()
+    try:
+        del metadata
+        assert index() is None
+    finally:
+        gc.enable()

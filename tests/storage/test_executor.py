@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from repro.layouts import RangeLayoutBuilder, RoundRobinLayout
+from repro.layouts import RangeLayoutBuilder, RoundRobinLayout, ZoneMapIndex
 from repro.queries import Query, between, eq
 from repro.storage import PartitionStore, QueryExecutor
 
@@ -79,31 +82,53 @@ class TestFullScan:
 
 
 class TestZoneMapCache:
+    """The executor keeps no index: it plans on the one its snapshot owns."""
+
     def test_index_cache_bounded_across_many_layouts(self, executor, simple_table, rng):
         """Regression: retired layouts must not accumulate compiled indices."""
-        for _ in range(QueryExecutor.ZONEMAP_CACHE_CAP + 5):
+        indexes = []
+        for _ in range(20):
             layout = RoundRobinLayout(4)
             stored = executor.store.materialize(simple_table, layout)
             executor.execute(stored, Query(predicate=between("x", 0.0, 5.0)))
-        assert len(executor._zonemaps) <= QueryExecutor.ZONEMAP_CACHE_CAP
+            indexes.append(weakref.ref(stored.metadata.zone_maps))
+        gc.collect()
+        # only the last layout is still referenced (by ``stored``)
+        assert [ref() is not None for ref in indexes] == [False] * 19 + [True]
 
-    def test_forget_drops_index(self, executor, stored_range):
-        executor.execute(stored_range, Query(predicate=between("x", 0.0, 5.0)))
-        layout_id = stored_range.layout.layout_id
-        assert layout_id in executor._zonemaps
-        executor.forget(layout_id)
-        assert layout_id not in executor._zonemaps
+    def test_forget_drops_index(self, executor, simple_table):
+        """Retiring a layout takes no call: its index goes with its snapshot."""
+        stored = executor.store.materialize(simple_table, RoundRobinLayout(4))
+        executor.execute(stored, Query(predicate=between("x", 0.0, 5.0)))
+        executor.execute_batch(stored, [Query(predicate=between("x", 0.0, 5.0))])
+        index = weakref.ref(stored.metadata.zone_maps)
+        del stored
+        gc.collect()
+        assert index() is None
 
-    def test_recompiles_when_metadata_replaced(self, executor, simple_table, rng):
+    def test_recompiles_when_metadata_replaced(
+        self, executor, simple_table, rng, monkeypatch
+    ):
+        compiled_from = []
+        compile_index = ZoneMapIndex.__init__
+
+        def counting(self, metadata):
+            compiled_from.append(metadata)
+            compile_index(self, metadata)
+
+        monkeypatch.setattr(ZoneMapIndex, "__init__", counting)
+        query = Query(predicate=between("x", 0.0, 5.0))
         layout = RangeLayoutBuilder("x").build(simple_table, [], 8, rng)
         first = executor.store.materialize(simple_table, layout)
-        executor.execute(first, Query(predicate=between("x", 0.0, 5.0)))
-        index_before = executor._zonemaps[layout.layout_id]
+        executor.execute(first, query)
+        executor.execute_batch(first, [query])
+        # same snapshot, same index object: compiled once for both paths
+        assert compiled_from == [first.metadata]
         second = executor.store.materialize(simple_table, layout)
-        executor.execute(second, Query(predicate=between("x", 0.0, 5.0)))
-        index_after = executor._zonemaps[layout.layout_id]
-        assert index_after is not index_before
-        assert index_after.metadata is second.metadata
+        executor.execute(second, query)
+        # new snapshot (same layout id), new index
+        assert compiled_from == [first.metadata, second.metadata]
+        assert second.metadata.zone_maps is not first.metadata.zone_maps
 
 
 class TestExecuteBatch:

@@ -1,14 +1,14 @@
-"""Concurrent-caller stress tests for the executor's LRU caches.
+"""Concurrent-caller stress tests for the executor.
 
-Regression suite for the unlocked ``_zonemaps``/``_compiled`` caches:
-``lru_get`` pops and reinserts on every hit, so two concurrent
-``query_batch`` calls on one executor could interleave mid-refresh and
-drop or duplicate entries — or double-compile and publish whichever
-index finished last.  With ``_cache_lock`` every access serializes;
-these tests hammer one executor from many threads across more layouts
-than the cache holds (forcing eviction churn) and assert results stay
-bit-identical to the single-threaded baseline and the caches stay
-bounded and well-formed.
+Regression suite for the unlocked ``_compiled`` cache: ``lru_get`` pops
+and reinserts on every hit, so two concurrent ``query_batch`` calls on one
+executor could interleave mid-refresh and drop or duplicate entries.  With
+``_cache_lock`` every access serializes; the zone-map index is not the
+executor's to guard — each snapshot owns its own.  These tests hammer one
+executor from many threads across more layouts and batches than the cache
+holds (forcing eviction churn) and assert results stay bit-identical to
+the single-threaded baseline, the cache stays bounded, and every snapshot
+still plans like a from-scratch index.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.layouts import RangeLayoutBuilder, RoundRobinLayout
+from repro.layouts import RangeLayoutBuilder, RoundRobinLayout, ZoneMapIndex
 from repro.queries import Query, between
 from repro.storage import PartitionStore, QueryExecutor
 
@@ -31,10 +31,9 @@ def executor(tmp_path):
 
 @pytest.fixture
 def stored_layouts(executor, simple_table, rng):
-    """More stored layouts than ZONEMAP_CACHE_CAP, so hits evict under load."""
-    count = QueryExecutor.ZONEMAP_CACHE_CAP + 4
+    """Twenty stored layouts, each snapshot compiling its index under load."""
     stored = []
-    for i in range(count):
+    for i in range(20):
         if i % 2:
             layout = RoundRobinLayout(4 + i % 3, layout_id=f"rr-{i}")
         else:
@@ -92,23 +91,26 @@ def test_caches_stay_bounded_and_consistent_under_races(
         start.wait()
         for _ in range(20):
             stored = stored_layouts[int(order.integers(len(stored_layouts)))]
+            batch = batches[int(order.integers(len(batches)))]
             if order.integers(4) == 0:
-                # interleave retirement with serving, like a reorg commit does
-                executor.forget(stored.layout.layout_id)
+                # interleave the per-predicate path (the index's mask LRU)
+                executor.execute(stored, batch[0])
             else:
-                executor.execute_batch(
-                    stored, batches[int(order.integers(len(batches)))]
-                )
+                executor.execute_batch(stored, batch)
 
     with ThreadPoolExecutor(max_workers=6) as pool:
         list(pool.map(hammer, range(6)))
-    # bounded: racing pop-and-reinsert used to let the dicts drift past cap
-    assert len(executor._zonemaps) <= QueryExecutor.ZONEMAP_CACHE_CAP
+    # bounded: racing pop-and-reinsert used to let the dict drift past cap
     assert len(executor._compiled) <= QueryExecutor.COMPILED_CACHE_CAP
-    # consistent: every surviving entry is keyed by the index it stores
-    by_id = {stored.layout.layout_id: stored for stored in stored_layouts}
-    for layout_id, index in executor._zonemaps.items():
-        assert index.metadata is by_id[layout_id].metadata
+    # consistent: every snapshot's index, first compiled under the race,
+    # plans exactly like one compiled from scratch
+    for stored in stored_layouts:
+        fresh = ZoneMapIndex(stored.metadata)
+        for batch in batches:
+            for query in batch:
+                assert stored.metadata.zone_maps.relevant_partition_ids(
+                    query.predicate
+                ) == fresh.relevant_partition_ids(query.predicate)
 
 
 def test_concurrent_single_execute_matches_serial(executor, stored_layouts):

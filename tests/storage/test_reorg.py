@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.layouts import RangeLayoutBuilder, RoundRobinLayout
-from repro.storage import PartitionStore, reorganize
+from repro.queries import Query, between
+from repro.storage import PartitionStore, QueryExecutor, reorganize
 
 
 @pytest.fixture
@@ -59,3 +60,34 @@ class TestReorganize:
         stored = store.materialize(simple_table, layout)
         new_stored, _ = reorganize(store, stored, layout, simple_table.schema)
         assert all(p.path.exists() for p in new_stored.partitions)
+
+    def test_failed_same_id_rewrite_leaves_the_old_epoch_readable(
+        self, store, simple_table, monkeypatch
+    ):
+        """A same-id rewrite (a streaming engine's second consolidation) that
+        fails on its second file must not have destroyed the only copy."""
+        layout = RoundRobinLayout(4)
+        stored = store.materialize(simple_table, layout)
+        save = np.savez_compressed
+        calls = []
+
+        def failing_save(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return save(*args, **kwargs)
+
+        monkeypatch.setattr(np, "savez_compressed", failing_save)
+        with pytest.raises(OSError, match="No space left"):
+            reorganize(store, stored, layout, simple_table.schema)
+        monkeypatch.undo()
+        assert not store.staging_path(layout.layout_id).exists()
+        survivor = store.read_all(stored, simple_table.schema)
+        for name in simple_table.schema.names():
+            np.testing.assert_array_equal(
+                np.sort(survivor[name]), np.sort(simple_table[name])
+            )
+        executor = QueryExecutor(store)
+        query = Query(predicate=between("x", 10.0, 20.0))
+        expected = int(query.predicate.evaluate(simple_table.columns).sum())
+        assert executor.execute(stored, query).rows_matched == expected

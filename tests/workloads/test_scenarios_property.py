@@ -16,7 +16,7 @@ Three properties are contractual for every pack:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.workloads import (
@@ -120,9 +120,20 @@ def test_every_event_is_schema_valid(pack):
             assert mask.dtype == bool and mask.shape == (base.num_rows,)
 
 
+def base_fingerprint(pack):
+    base = pack.base_table()
+    return tuple((name, base[name].tobytes()) for name in base.schema.names())
+
+
 @given(
     pack=pack_strategy,
     other_seed=st.integers(min_value=0, max_value=2**20),
+)
+@example(
+    pack=DriftingPredicatesPack(
+        seed=0, num_events=3, base_rows=300, ingest_every=0, ingest_rows=40
+    ),
+    other_seed=1,
 )
 @settings(max_examples=15)
 def test_different_seeds_change_the_stream(pack, other_seed):
@@ -137,7 +148,9 @@ def test_different_seeds_change_the_stream(pack, other_seed):
     )
     ours = [event_fingerprint(e) for e in pack.events()]
     theirs = [event_fingerprint(e) for e in other.events()]
-    # Phase labels and cadence may coincide; the sampled content must not,
-    # except for astronomically unlikely collisions on tiny streams.
-    if ours == theirs:
-        assert pack.num_events <= 2  # pragma: no cover - collision guard
+    # The events alone may coincide on a short stream: a drifting pack
+    # without ingests draws, with p = 0.8 per event, a ``rolling_window``
+    # query that is a function of the event index only (the pinned
+    # example).  What a seed must change is the scenario — the seeded
+    # base table together with the events played against it.
+    assert (base_fingerprint(pack), ours) != (base_fingerprint(other), theirs)
