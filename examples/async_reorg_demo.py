@@ -99,7 +99,6 @@ def main() -> None:
 
         scheduler = ReorgScheduler(
             store,
-            executor=executor,
             evaluator=evaluator,
             alpha=ALPHA,
             step_partitions=STEP_PARTITIONS,
@@ -112,7 +111,7 @@ def main() -> None:
         while scheduler.active:
             ticked = scheduler.tick()
             start = time.perf_counter()
-            scheduler.serve(serving_stream[position % len(serving_stream)])
+            executor.execute(scheduler.visible, serving_stream[position % len(serving_stream)])
             position += 1
             latencies_ms.append(
                 (ticked.step.elapsed_seconds / 2.0 + time.perf_counter() - start) * 1e3

@@ -24,15 +24,13 @@ from ..engine import LayoutEngine, ShardedEngine
 from ..engine.factory import (
     StoreDir,
     StoreManifest,
-    build_target,
-    snapshot_table,
+    reorganize_derived,
     table_from_rows,
 )
 from ..queries.parser import PredicateSyntaxError, parse_predicate
 from ..queries.query import Query
 from ..server.app import ServerConfig, run_server
 from ..server.events import EventRing
-from ..storage.table import Table
 from .formatting import FORMATS, format_rows
 
 __all__ = [
@@ -369,29 +367,9 @@ def reorg(
         return
     engine = _open_replay(store_dir)
     try:
-        config = store_dir.engine_config()
-        builder_spec = payload.get("builder") or store_dir.manifest.builder
-        if isinstance(engine, ShardedEngine):
-            pieces = [
-                snapshot_table(shard, store_dir.manifest.schema)
-                for shard in engine.shards
-                if shard.holds_data
-            ]
-            if not pieces:
-                raise click.ClickException("store holds no data to reorganize")
-            sample = Table.concat(pieces) if len(pieces) > 1 else pieces[0]
-            target = build_target(
-                builder_spec, sample, config.num_partitions, config.seed
-            )
-            engine.reorganize(target, shards=payload.get("shards"))
-        else:
-            if not engine.holds_data:
-                raise click.ClickException("store holds no data to reorganize")
-            sample = snapshot_table(engine, store_dir.manifest.schema)
-            target = build_target(
-                builder_spec, sample, config.num_partitions, config.seed
-            )
-            engine.reorganize(target)
+        target = reorganize_derived(
+            engine, store_dir, payload.get("builder"), payload.get("shards")
+        )
         engine.run_until_idle()
         counters = engine.stats().to_dict()
     except (ValueError, RuntimeError) as error:

@@ -14,16 +14,19 @@ price the evaluator held for it before the move.  At the final commit the
 scheduler applies the cache-freshness rule (``docs/architecture.md``): the
 evaluator registers the committed snapshot under the target id — the
 physical truth replaces any pre-move estimate — and forgets the retired
-id.  The executor needs no word: it plans on the index the visible
+id.  An executor needs no word: it plans on the index the visible
 snapshot owns.
 
-Between ticks the caller keeps serving queries with :meth:`serve`, which
-always executes against :attr:`visible` — the old epoch until the final
-commit, the new epoch afterwards, never a mixture.  The scheduler is
-cooperative by design: steps and queries interleave deterministically in one
-thread, which is both what makes the differential equivalence suite possible
-and an honest reproduction of the paper's background reorganization (§III-B)
-under a global interpreter lock.
+Between ticks the caller keeps serving queries with its own executor
+against :attr:`visible` — the old epoch until the final commit, the new
+epoch afterwards, never a mixture.  What is in flight is recorded once, in
+:attr:`ReorgScheduler.pipeline` (``old_stored``, ``new_layout``, progress);
+``IncrementalStore`` and :class:`~repro.engine.LayoutEngine` read it there
+instead of mirroring it.  The scheduler is cooperative by design: steps and
+queries interleave deterministically in one thread, which is both what makes
+the differential equivalence suite possible and an honest reproduction of
+the paper's background reorganization (§III-B) under a global interpreter
+lock.
 """
 
 from __future__ import annotations
@@ -32,9 +35,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..layouts.base import DataLayout
-from ..queries.query import Query
 from ..storage.async_reorg import AsyncReorgPipeline, MovementStep
-from ..storage.executor import QueryExecutor, QueryResult
 from ..storage.partition import StoredLayout
 from ..storage.partition_store import PartitionStore
 from ..storage.reorg import ReorgResult
@@ -59,10 +60,11 @@ class ScheduledStep:
 class ReorgScheduler:
     """Interleaves bounded data movement with query serving.
 
-    ``executor`` and ``evaluator`` are both optional: attach whichever
-    caches mirror the physical state.  ``alpha`` attaches a movement
-    budget; every started reorganization then charges exactly ``alpha``
-    across its steps (:class:`~repro.core.dumts.MovementAmortizer`) —
+    ``evaluator`` is optional: attach a cost evaluator that nothing else
+    keeps fresh (``IncrementalStore`` registers its own commits).
+    ``alpha`` attaches a movement budget; every started reorganization
+    then charges exactly ``alpha`` across its steps
+    (:class:`~repro.core.dumts.MovementAmortizer`) —
     ``alpha=0.0`` is a *tracked* free budget, distinct from ``None``
     (untracked).  ``mover_threads`` fans each step's file I/O across a
     bounded thread pool inside the pipeline; scheduling stays cooperative
@@ -77,7 +79,6 @@ class ReorgScheduler:
     def __init__(
         self,
         store: PartitionStore,
-        executor: QueryExecutor | None = None,
         evaluator: CostEvaluator | None = None,
         alpha: float | None = None,
         step_partitions: int = 16,
@@ -88,7 +89,6 @@ class ReorgScheduler:
         if mover_threads < 1:
             raise ValueError("mover_threads must be positive")
         self.store = store
-        self.executor = executor
         self.evaluator = evaluator
         self.alpha = alpha
         self.step_partitions = int(step_partitions)
@@ -97,7 +97,6 @@ class ReorgScheduler:
         self._amortizer: MovementAmortizer | None = None
         self._on_complete: Callable[[StoredLayout, ReorgResult], None] | None = None
         self._on_abort: Callable[[], None] | None = None
-        self.reorgs_completed = 0
 
     # ------------------------------------------------------------------- state
     @property
@@ -128,9 +127,9 @@ class ReorgScheduler:
     ) -> AsyncReorgPipeline:
         """Begin a pipelined reorganization of ``stored`` into ``new_layout``.
 
-        Queries served through :meth:`serve` keep reading ``stored`` until
-        the final commit, and neither attached cache hears of the move
-        before then (see the module notes).
+        Queries served against :attr:`visible` keep reading ``stored``
+        until the final commit, and the attached evaluator does not hear
+        of the move before then (see the module notes).
         """
         if self.active:
             raise RuntimeError("a reorganization is already in flight")
@@ -154,20 +153,13 @@ class ReorgScheduler:
         self._amortizer = amortizer
         return pipeline
 
-    # ------------------------------------------------------------------- serve
-    def serve(self, query: Query) -> QueryResult:
-        """Execute one query against the currently visible epoch."""
-        if self.executor is None:
-            raise RuntimeError("scheduler has no executor attached")
-        return self.executor.execute(self.visible, query)
-
     # -------------------------------------------------------------------- tick
     def tick(self) -> ScheduledStep | None:
         """Advance the in-flight reorganization by one movement step.
 
         Returns ``None`` when nothing is in flight.  On the final commit
-        the visible snapshot flips, the attached caches move to the new
-        epoch, and any ``on_complete`` callback fires.
+        the visible snapshot flips, the attached evaluator moves to the
+        new epoch, and any ``on_complete`` callback fires.
         """
         if not self.active:
             return None
@@ -196,7 +188,7 @@ class ReorgScheduler:
 
         The staged buffer is discarded and the visible snapshot remains the
         old epoch (which the pipeline never touched, and which the attached
-        caches never left) — after which :meth:`start` can be called again.
+        evaluator never left) — after which :meth:`start` can be called again.
         Returns the movement budget to *refund*: the installments already
         emitted for the abandoned move (a retried
         move charges its full α afresh, so without the refund a ledger
@@ -233,7 +225,6 @@ class ReorgScheduler:
             self.evaluator.register_metadata(target_id, new_stored.metadata)
         if self.evaluator is not None and retired_id != target_id:
             self.evaluator.forget(retired_id)  # a same-id rewrite retires nothing
-        self.reorgs_completed += 1
         self._on_abort = None
         if self._on_complete is not None:
             callback, self._on_complete = self._on_complete, None

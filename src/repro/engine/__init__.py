@@ -36,6 +36,7 @@ from .factory import (
     StoreManifest,
     build_target,
     make_builder,
+    reorganize_derived,
     schema_from_dict,
     schema_to_dict,
     snapshot_table,
@@ -80,6 +81,7 @@ __all__ = [
     "derive_shard_configs",
     "make_builder",
     "merge_query_results",
+    "reorganize_derived",
     "schema_from_dict",
     "schema_to_dict",
     "snapshot_table",

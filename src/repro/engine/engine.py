@@ -8,13 +8,18 @@ harness; production-style callers had to hand-wire ``PartitionStore`` +
 ``ReorgScheduler`` themselves.  :class:`LayoutEngine` owns that wiring:
 
 * **lifecycle** — ``open()`` / ``close()`` (or the context manager),
-  with an in-flight pipelined reorganization aborted safely on close;
+  with an in-flight pipelined reorganization aborted safely on close.
+  Every open shape is **one** ``IncrementalStore`` (a table opened whole
+  is its first component, written by ``materialize``): it owns the
+  visible snapshot, and the scheduler's pipeline owns the in-flight move;
 * **data plane** — ``ingest(batch)`` appends under the current layout
   (§III-C incremental clustering), ``query(q)`` / ``query_batch(qs)``
   serve against the visible epoch with metadata pruning;
 * **decision plane** — every query flows through the configured
   :class:`~repro.engine.policies.ReorgPolicy`; a returned target starts
-  a real reorganization, synchronous or pipelined per the config;
+  a real reorganization, synchronous or pipelined per the config; one
+  that raises is abandoned (``reorg_aborted``) before the error
+  propagates, so every ``reorg_started`` gets exactly one terminal event;
 * **reorg progress** — ``step()`` advances one bounded movement step,
   ``run_until_idle()`` drains the pipeline, and every transition fires
   an event to the :class:`~repro.engine.events.EngineEvents` observers
@@ -46,7 +51,7 @@ from ..storage.executor import QueryExecutor, QueryResult
 from ..storage.ingest import IncrementalStore
 from ..storage.partition import StoredLayout
 from ..storage.partition_store import PartitionStore
-from ..storage.reorg import ReorgResult, reorganize
+from ..storage.reorg import ReorgResult
 from ..storage.table import Schema, Table
 from .config import EngineConfig
 from .events import EngineEvents, _as_tuple
@@ -169,11 +174,9 @@ class LayoutEngine:
         self._evaluator: CostEvaluator | None = None
         self._scheduler: ReorgScheduler | None = None
         self._incremental: IncrementalStore | None = None
-        self._stored: StoredLayout | None = None
         self._logical: DataLayout | None = None
+        #: ``is not None`` is the one record of "opened over a table"
         self._table: Table | None = None
-        self._schema: Schema | None = None
-        self._inflight: tuple[str, str] | None = None
         self._queries_served = 0
         self._rows_ingested = 0
         self._num_switches = 0
@@ -189,40 +192,31 @@ class LayoutEngine:
 
     @policy.setter
     def policy(self, policy: ReorgPolicy) -> None:
-        """Swap the policy (drop-in, even on a live engine); binds if open.
-
-        Swapping a ``wants_costs`` policy onto a live engine also attaches
-        the evaluator to the scheduler/ingest wiring, so every later
-        commit and append registers its snapshot there.
-        """
+        """Swap the policy (drop-in, even on a live engine); binds if open."""
         with self._serving_lock:
             self._policy = policy
             if self._is_open:
                 self._bind_policy()
-                if getattr(policy, "wants_costs", False):
-                    self._wire_costs()
 
     def _bind_policy(self) -> None:
         bind = getattr(self._policy, "bind", None)
         if callable(bind):
             bind(self)
 
-    def _wire_costs(self) -> None:
-        """Attach the cost evaluator to whatever wiring exists (idempotent).
-
-        The scheduler then registers each committed snapshot, and the
-        incremental store each appended one — the cache-freshness rule of
-        ``docs/architecture.md`` that ``wants_costs`` policies rely on.
-        """
-        evaluator = self.evaluator
-        if self._scheduler is not None and self._scheduler.evaluator is None:
-            self._scheduler.evaluator = evaluator
-        if self._incremental is not None and self._incremental.evaluator is None:
-            self._incremental.evaluator = evaluator
-            evaluator.register_metadata(
-                self._incremental.layout.layout_id,
-                self._incremental.stored().metadata,
-            )
+    def _create_store(
+        self, schema: Schema, layout: DataLayout, initial: StoredLayout | None = None
+    ) -> None:
+        """Create the engine's one store: empty, or adopting ``initial``."""
+        assert self.store is not None  # open() created it
+        self._incremental = IncrementalStore(
+            self.store,
+            schema,
+            layout,
+            evaluator=self._evaluator,
+            allow_ingest_during_consolidation=self.config.ingest_during_reorg,
+            initial=initial,
+        )
+        self._logical = layout
 
     # --------------------------------------------------------------- lifecycle
     @_serialized
@@ -235,11 +229,14 @@ class LayoutEngine:
 
         With a ``table`` the engine materializes it under
         ``initial_layout`` (or a layout built by the config's builder
-        from a data sample) and serves it read-only; without one the
-        engine starts empty and grows through :meth:`ingest`.  Opening
-        an already-open engine raises; re-opening a *closed* one starts
-        a fresh lifetime (state and counters reset — ``stats()`` counts
-        "since open()").
+        from a data sample) and its store adopts the result; without one
+        the first :meth:`ingest` creates the store — one store, one loop
+        either way.  Opening over a table has two consequences: the
+        evaluator prices candidates from that table, so :meth:`ingest`
+        (which would leave it stale) is refused, and a same-id
+        :meth:`reorganize` is a no-op.  Opening an already-open engine
+        raises; re-opening a *closed* one starts a fresh lifetime (state
+        and counters reset — ``stats()`` counts "since open()").
         """
         if self._is_open:
             raise RuntimeError("engine is already open")
@@ -247,26 +244,22 @@ class LayoutEngine:
         self.store = PartitionStore(self.config.store_root, compress=self.config.compress)
         self.executor = QueryExecutor(self.store)
         self._table = table
+        self._evaluator = CostEvaluator(table)
         if self.config.async_reorg:
             self._scheduler = ReorgScheduler(
                 self.store,
-                executor=self.executor,
                 alpha=self.config.alpha,
                 step_partitions=self.config.step_partitions,
                 mover_threads=self.config.mover_threads,
             )
-        if getattr(self.policy, "wants_costs", False):
-            self._wire_costs()
         if table is not None:
             layout = initial_layout
             if layout is None:
                 layout = self._derive_layout(table)
-            self._schema = table.schema
-            self._stored = self.store.materialize(table, layout)
-            self._logical = layout
-        elif initial_layout is not None:
-            # Streaming engine with a caller-chosen first layout: the
-            # incremental store is created on the first ingested batch.
+            self._create_store(table.schema, layout, self.store.materialize(table, layout))
+        else:
+            # The store is created by the first ingested batch, under the
+            # caller-chosen first layout if there is one.
             self._logical = initial_layout
         self._is_open = True
         self._bind_policy()
@@ -280,15 +273,15 @@ class LayoutEngine:
         Idempotent.  An in-flight pipelined reorganization is abandoned
         in O(1) — the staged buffer is discarded and the old epoch's
         files stay intact, exactly the unwind the replay driver used.
-        With ``cleanup_on_close`` the served layout's files (and a
-        streaming engine's batch files) are removed from disk.
+        With ``cleanup_on_close`` the store's files (the served layout's
+        and any per-batch ones) are removed from disk.
         """
         if not self._is_open:
             return
         try:
             self.abort_reorg()
-            if self.config.cleanup_on_close:
-                self._cleanup_files()
+            if self.config.cleanup_on_close and self._incremental is not None:
+                self._incremental.delete_files()
         finally:
             self._is_open = False
             self._emit("close")
@@ -303,12 +296,6 @@ class LayoutEngine:
         """Close the engine on context exit (aborting any in-flight move)."""
         self.close()
 
-    def _cleanup_files(self) -> None:
-        if self._incremental is not None:
-            self._incremental.delete_files()
-        elif self._stored is not None and self.store is not None:
-            self.store.delete_layout(self._stored)
-
     def _require_open(self) -> None:
         if not self._is_open:
             raise RuntimeError("engine is not open; call open() first")
@@ -316,9 +303,8 @@ class LayoutEngine:
     # ------------------------------------------------------------------- views
     @property
     def evaluator(self) -> CostEvaluator:
-        """The engine's cost oracle (created lazily, prices live metadata)."""
-        if self._evaluator is None:
-            self._evaluator = CostEvaluator(self._table)
+        """The engine's cost oracle; the store keeps it on live metadata."""
+        assert self._evaluator is not None  # open() created it
         return self._evaluator
 
     @property
@@ -350,7 +336,13 @@ class LayoutEngine:
         the sharded router uses this to skip data-less shards instead of
         tripping their "holds no data" guard.
         """
-        return self._stored is not None or self._incremental is not None
+        return self._incremental is not None
+
+    @property
+    def accepts_ingest(self) -> bool:
+        """Whether :meth:`ingest` is accepted: not once opened over a table.
+        (The sharded router asks every target shard before any writes.)"""
+        return self._table is None
 
     @_serialized
     def stored(self) -> StoredLayout:
@@ -360,12 +352,12 @@ class LayoutEngine:
 
     @_serialized
     def fragmentation(self, target_partition_rows: int) -> float:
-        """How fragmented a streaming engine's store is (1.0 = consolidated).
+        """How fragmented the engine's store is (1.0 = consolidated).
 
         Delegates to :meth:`IncrementalStore.fragmentation`: the ratio of
         actual partition count to the minimum needed at
-        ``target_partition_rows`` rows per partition.  A materialized (or
-        not-yet-ingested) engine reports 1.0.
+        ``target_partition_rows`` rows per partition.  An engine holding
+        no data yet reports 1.0.
         """
         self._require_open()
         if self._incremental is None:
@@ -389,15 +381,24 @@ class LayoutEngine:
         )
 
     def _visible(self) -> StoredLayout:
-        """The stored layout queries must run against right now."""
-        if self._incremental is not None:
-            return self._incremental.stored()
-        if self.reorg_active:
-            assert self._scheduler is not None  # reorg_active implies one
-            return self._scheduler.visible
-        if self._stored is None:
+        """The stored layout queries must run against right now.
+
+        The store owns it: mid-flight it answers with the old epoch
+        (sidecar appends included) until the commit adopts the new one.
+        """
+        if self._incremental is None:
             raise RuntimeError("engine holds no data; materialize or ingest first")
-        return self._stored
+        return self._incremental.stored()
+
+    def _move_ids(self) -> tuple[str, str]:
+        """In-flight ``(source id, target id)``: where the store still sits,
+        and what the scheduler's pipeline is building."""
+        assert self._incremental is not None and self._scheduler is not None
+        assert self._scheduler.pipeline is not None  # reorg_active implies one
+        return (
+            self._incremental.layout.layout_id,
+            self._scheduler.pipeline.new_layout.layout_id,
+        )
 
     # -------------------------------------------------------------- data plane
     @_serialized
@@ -414,10 +415,11 @@ class LayoutEngine:
         final commit (``ingest_during_reorg`` fires in addition to
         ``ingest``); with ``EngineConfig.ingest_during_reorg=False``
         the call raises instead.  Raises on an engine opened over a
-        materialized table.
+        table (:attr:`accepts_ingest`): its evaluator prices candidates
+        from that table, which an append would leave stale.
         """
         self._require_open()
-        if self._stored is not None:
+        if not self.accepts_ingest:
             raise RuntimeError(
                 "engine was opened over a materialized table; streaming "
                 "ingest needs an engine opened without one"
@@ -427,18 +429,11 @@ class LayoutEngine:
             # the schema or derive a layout from zero rows.
             return 0
         if self._incremental is None:
-            layout = self._logical if self._logical is not None else self._derive_layout(batch)
-            assert self.store is not None  # open() created it
-            self._schema = batch.schema
-            self._incremental = IncrementalStore(
-                self.store,
+            self._create_store(
                 batch.schema,
-                layout,
-                allow_ingest_during_consolidation=self.config.ingest_during_reorg,
+                self._logical if self._logical is not None else self._derive_layout(batch),
             )
-            self._logical = layout
-            if getattr(self.policy, "wants_costs", False) or self._evaluator is not None:
-                self._wire_costs()
+        assert self._incremental is not None
         routed_sidecar = self._incremental.consolidating
         written = self._incremental.ingest(batch)
         self._rows_ingested += batch.num_rows
@@ -448,7 +443,7 @@ class LayoutEngine:
                 "ingest_during_reorg",
                 rows=batch.num_rows,
                 partitions_written=written,
-                target_id=self._inflight[1] if self._inflight else "?",
+                target_id=self._move_ids()[1],
             )
         return written
 
@@ -547,10 +542,8 @@ class LayoutEngine:
     def _costs_for(self, query: Query) -> dict[str, float]:
         if not getattr(self.policy, "wants_costs", False):
             return {}
-        stored = self._visible()
-        current = stored.layout
+        current = self._visible().layout
         evaluator = self.evaluator
-        evaluator.register_metadata(current.layout_id, stored.metadata)
         layouts: list[DataLayout] = [current]
         seen = {current.layout_id}
         candidates = getattr(self.policy, "candidates", None)
@@ -578,103 +571,52 @@ class LayoutEngine:
         just keep serving queries.  Raises on an engine holding no data
         yet.
 
-        A target equal to the current layout is a no-op on a
-        *materialized* engine (the rewrite provably changes nothing) but
-        a full **consolidation** on a *streaming* one, whose physical
+        A target equal to the current layout is a no-op on an engine
+        opened over a table (the rewrite provably changes nothing) but
+        a full **consolidation** on one that ingests, whose physical
         partitioning fragments away from the layout's assignment batch
         by batch — the same-id defragmentation §III-C prescribes,
-        charged α like any other reorganization.
+        charged α like any other reorganization.  A move that raises is
+        abandoned as :meth:`abort_reorg` would, before the error propagates.
         """
         self._require_open()
-        if self._stored is None and self._incremental is None:
-            raise RuntimeError("engine holds no data; materialize or ingest first")
-        if (
-            self._logical is not None
-            and target.layout_id == self._logical.layout_id
-            and self._incremental is None
-        ):
-            return
+        if self._table is not None and self._logical is not None:
+            if target.layout_id == self._logical.layout_id:
+                return
         self._begin_reorg(target)
 
     def _begin_reorg(self, target: DataLayout) -> None:
-        if self._stored is None and self._incremental is None:
-            # A streaming engine that has not ingested yet has a layout
-            # id but no data; there is nothing to reorganize.
-            raise RuntimeError("engine holds no data; materialize or ingest first")
-        source = self._logical
-        pipelined = self._scheduler is not None
-        if self._scheduler is not None and self._scheduler.active:
+        if self.reorg_active:
             # Back-to-back switch decisions serialize: finish the
             # in-flight move before starting the next.
             self.run_until_idle()
-            source = self._logical
-        # Data exists (checked above), so a layout was adopted with it.
-        assert source is not None
+        # Raises on a data-less engine: it has a layout id at most.
+        source_id = self._visible().layout.layout_id
+        assert self._incremental is not None  # _visible() found data
         self._emit(
             "reorg_started",
-            source_id=source.layout_id,
+            source_id=source_id,
             target_id=target.layout_id,
-            pipelined=pipelined,
+            pipelined=self._scheduler is not None,
         )
-        if self._incremental is not None:
-            self._reorg_incremental(source, target, pipelined)
-        else:
-            self._reorg_materialized(source, target, pipelined)
+        result = None
+        try:
+            # The one synchronous/pipelined fork: start the move and let
+            # step() land it, or run storage.reorg.reorganize to the end.
+            if self._scheduler is not None:
+                self._incremental.consolidate_async(target, self._scheduler)
+            else:
+                result = self._incremental.consolidate(target)
+        except BaseException:
+            self._abandoned(source_id, target.layout_id, refund=0.0)
+            raise
+        if result is not None:
+            if self.config.alpha is not None:
+                self._movement_charged += self.config.alpha
+                self._announce_charge(self.config.alpha)
+            self._committed(source_id, target.layout_id, result)
         self._num_switches += 1
         self._logical = target
-
-    def _reorg_materialized(
-        self, source: DataLayout, target: DataLayout, pipelined: bool
-    ) -> None:
-        # Only reachable with a materialized open() behind us.
-        assert self._stored is not None and self._schema is not None
-        if pipelined:
-            assert self._scheduler is not None  # pipelined == scheduler exists
-            # on_complete mirrors the streaming path's wiring: even if a
-            # caller drains the exposed scheduler directly (against the
-            # documented API), the visible snapshot flips with the commit
-            # instead of pointing at the retired epoch's deleted files.
-            def _adopt_committed(new_stored: StoredLayout, _result: ReorgResult) -> None:
-                self._stored = new_stored
-
-            self._scheduler.start(
-                self._stored,
-                target,
-                self._schema,
-                on_complete=_adopt_committed,
-            )
-            self._inflight = (source.layout_id, target.layout_id)
-            return
-        assert self.store is not None
-        new_stored, result = reorganize(self.store, self._stored, target, self._schema)
-        self._charge_alpha()
-        # Cache freshness, as the scheduler does at a pipelined commit: the
-        # committed snapshot is the target's truth, the source is retired.
-        if self._evaluator is not None:
-            self._evaluator.register_metadata(target.layout_id, new_stored.metadata)
-            self._evaluator.forget(source.layout_id)
-        self._stored = new_stored
-        self._committed(source.layout_id, target.layout_id, result)
-
-    def _reorg_incremental(
-        self, source: DataLayout, target: DataLayout, pipelined: bool
-    ) -> None:
-        # Only reachable with an incremental store already ingesting.
-        assert self._incremental is not None
-        if pipelined:
-            assert self._scheduler is not None  # pipelined == scheduler exists
-            self._incremental.consolidate_async(target, self._scheduler)
-            self._inflight = (source.layout_id, target.layout_id)
-            return
-        # consolidate() moves the wired evaluator onto the new snapshot.
-        result = self._incremental.consolidate(target)
-        self._charge_alpha()
-        self._committed(source.layout_id, target.layout_id, result)
-
-    def _charge_alpha(self) -> None:
-        if self.config.alpha is not None:
-            self._movement_charged += self.config.alpha
-            self._announce_charge(self.config.alpha)
 
     def _announce_charge(self, amount: float) -> None:
         """Emit one movement charge (negative = refund); callers own the ledger."""
@@ -699,24 +641,34 @@ class LayoutEngine:
         Returns ``None`` when nothing is in flight.  On the final commit
         the visible epoch flips, the engine's accounting settles (reorg
         seconds, movement installments summing to exactly α) and
-        ``reorg_committed`` fires.
+        ``reorg_committed`` fires.  A step that raises (a mover fault)
+        aborts the move (:meth:`abort_reorg`) before the error
+        propagates, so the next call serves instead of re-raising.
         """
         self._require_open()
         if not self.reorg_active:
             return None
         assert self._scheduler is not None  # reorg_active implies one
-        scheduled = self._scheduler.tick()
+        source_id, target_id = self._move_ids()  # the tick may commit
+        try:
+            scheduled = self._scheduler.tick()
+        except BaseException:
+            self.abort_reorg()
+            raise
         assert scheduled is not None  # an active pipeline always yields a step
         self._emit(
             "reorg_step",
-            target_id=self._inflight[1] if self._inflight else "?",
+            target_id=target_id,
             kind=scheduled.step.kind,
             completed_fraction=scheduled.step.completed_fraction,
         )
         if scheduled.movement_charge:
             self._announce_charge(scheduled.movement_charge)
         if scheduled.completed:
-            self._settle()
+            # The store adopted the new epoch inside the tick; account it.
+            assert self._scheduler.pipeline is not None
+            self._movement_charged += self._scheduler.charged
+            self._committed(source_id, target_id, self._scheduler.pipeline.result[1])
         return scheduled
 
     @_serialized
@@ -738,7 +690,7 @@ class LayoutEngine:
         installments already emitted as one compensating negative
         ``movement_charged`` event (the stream's sum stays equal to
         ``stats().movement_charged``, which never accrued the aborted
-        attempt), releases a streaming consolidation's ingest guard, and
+        attempt), releases the store's ingest guard, and
         fires ``reorg_aborted``.  Returns the refunded movement
         budget; no-op (0.0) when nothing is in flight.  This — not
         driving the exposed scheduler directly — is the supported way to
@@ -747,35 +699,21 @@ class LayoutEngine:
         self._require_open()
         if not self.reorg_active:
             return 0.0
-        source_id, target_id = self._inflight if self._inflight else ("?", "?")
-        # scheduler.abort() fires the on_abort callback that releases a
-        # streaming consolidation's ingest guard, so one call covers
-        # both modes.
         assert self._scheduler is not None  # reorg_active implies one
+        source_id, target_id = self._move_ids()
+        # scheduler.abort() discards the staging buffer and fires the
+        # store's on_abort, which releases its ingest guard.
         refund = self._scheduler.abort()
-        self._inflight = None
-        # The move never committed: the data still sits on the epoch the
-        # queries were served from.
+        self._abandoned(source_id, target_id, refund)
+        return refund
+
+    def _abandoned(self, source_id: str, target_id: str, refund: float) -> None:
+        """The terminal event of a started move that did not commit."""
+        # The data still sits on the epoch the queries were served from.
         self._logical = self._visible().layout
         if refund:
             self._announce_charge(-refund)
         self._emit("reorg_aborted", source_id=source_id, target_id=target_id)
-        return refund
-
-    def _settle(self) -> None:
-        """Account a completed pipeline exactly once and flip the snapshot."""
-        if self._inflight is None:
-            return
-        source_id, target_id = self._inflight
-        self._inflight = None
-        # _settle only runs from step(), under an active scheduler whose
-        # pipeline just reported completion.
-        assert self._scheduler is not None and self._scheduler.pipeline is not None
-        new_stored, result = self._scheduler.pipeline.result
-        if self._incremental is None:
-            self._stored = new_stored
-        self._movement_charged += self._scheduler.charged
-        self._committed(source_id, target_id, result)
 
     # ---------------------------------------------------------------- internal
     def _emit(self, name: str, **payload: Any) -> None:

@@ -62,6 +62,7 @@ __all__ = [
     "StoreManifest",
     "build_target",
     "make_builder",
+    "reorganize_derived",
     "schema_from_dict",
     "schema_to_dict",
     "snapshot_table",
@@ -329,6 +330,38 @@ def build_target(
     """
     rng = np.random.default_rng(seed)
     return make_builder(builder_spec).build(sample, [], num_partitions, rng)
+
+
+def reorganize_derived(
+    engine: LayoutEngine | ShardedEngine,
+    store_dir: "StoreDir",
+    builder_spec: dict[str, Any] | None = None,
+    shards: Sequence[int] | None = None,
+) -> DataLayout:
+    """Derive a target from the rows ``engine`` holds and reorganize into it.
+
+    The operator plane's one "reorganize" (``repro reorg`` offline,
+    ``POST /reorg`` live): the target is built by ``builder_spec``
+    (default: the manifest's) over every data-holding engine's snapshot;
+    ``shards`` restricts a sharded engine's move.  Returns the target;
+    raises ``ValueError`` when there is no data to derive it from.
+    """
+    sharded = isinstance(engine, ShardedEngine)
+    holders = [e for e in (engine.shards if sharded else (engine,)) if e.holds_data]
+    if not holders:
+        raise ValueError("store holds no data to reorganize")
+    manifest = store_dir.manifest
+    config = store_dir.engine_config()
+    pieces = [snapshot_table(e, manifest.schema) for e in holders]
+    sample = pieces[0] if len(pieces) == 1 else Table.concat(pieces)
+    target = build_target(
+        builder_spec or manifest.builder, sample, config.num_partitions, config.seed
+    )
+    if sharded:
+        engine.reorganize(target, shards=shards)
+    else:
+        engine.reorganize(target)
+    return target
 
 
 class StoreDir:

@@ -390,7 +390,9 @@ class ShardedEngine:
         Returns the total partition files written across shards.  Every
         row lands on the shard its key hashes to — the same placement
         :meth:`open` used — so queries over any key range see each row
-        exactly once.
+        exactly once.  All or nothing: if any shard the batch routes to
+        was opened over a table (:attr:`LayoutEngine.accepts_ingest`),
+        the call raises before any shard writes.
         """
         self._require_open()
         if batch.num_rows == 0:
@@ -399,12 +401,21 @@ class ShardedEngine:
             raise ValueError(
                 f"shard key {self._shard_key!r} is not a column of the batch"
             )
-        parts = self._split(batch)
+        parts = {
+            shard: part for shard, part in enumerate(self._split(batch)) if part.num_rows
+        }
+        # Refuse before any shard writes: a fan-out in which only some
+        # shards raise would leave the batch half applied.
+        refusing = [shard for shard in parts if not self._engines[shard].accepts_ingest]
+        if refusing:
+            raise RuntimeError(
+                f"shards {refusing} were opened over a table and refuse "
+                "ingest; nothing was written"
+            )
         written = self._fan_out(
             {
                 shard: (lambda e=self._engines[shard], p=part: e.ingest(p))
-                for shard, part in enumerate(parts)
-                if part.num_rows
+                for shard, part in parts.items()
             }
         )
         return sum(written.values())

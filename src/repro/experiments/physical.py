@@ -187,9 +187,7 @@ def _replay_physical_direct(
     store = PartitionStore(store_root, compress=compress)
     executor = QueryExecutor(store)
     scheduler = (
-        ReorgScheduler(
-            store, executor=executor, alpha=alpha, step_partitions=step_partitions
-        )
+        ReorgScheduler(store, alpha=alpha, step_partitions=step_partitions)
         if async_reorg
         else None
     )

@@ -51,14 +51,12 @@ from urllib.parse import parse_qs, urlsplit
 from ..engine import LayoutEngine, ShardedEngine
 from ..engine.factory import (
     StoreDir,
-    build_target,
-    snapshot_table,
+    reorganize_derived,
     table_from_columns,
     table_from_rows,
 )
 from ..queries.parser import PredicateSyntaxError, parse_predicate
 from ..queries.query import Query
-from ..storage.table import Table
 from .events import EventRing
 
 __all__ = ["EngineServer", "ServerConfig", "run_server"]
@@ -422,42 +420,17 @@ class EngineServer:
 
     async def _post_reorg(self, payload: dict[str, Any]) -> dict[str, Any]:
         engine = self._require_engine()
-        manifest = self.store.manifest
-        builder_spec = payload.get("builder") or manifest.builder
-        shards_param = payload.get("shards")
-        config = self.store.engine_config()
-
-        def _start() -> str:
-            if isinstance(engine, ShardedEngine):
-                pieces = [
-                    snapshot_table(shard, manifest.schema)
-                    for shard in engine.shards
-                    if shard.holds_data
-                ]
-                if not pieces:
-                    raise ValueError("store holds no data to reorganize")
-                sample = Table.concat(pieces) if len(pieces) > 1 else pieces[0]
-                target = build_target(
-                    builder_spec, sample, config.num_partitions, config.seed
-                )
-                engine.reorganize(
-                    target, shards=[int(s) for s in shards_param] if shards_param else None
-                )
-            else:
-                if not engine.holds_data:
-                    raise ValueError("store holds no data to reorganize")
-                sample = snapshot_table(engine, manifest.schema)
-                target = build_target(
-                    builder_spec, sample, config.num_partitions, config.seed
-                )
-                engine.reorganize(target)
-            return target.layout_id
-
-        target_id = await self._submit(_start)
+        shards = payload.get("shards")
+        target = await self._submit(
+            lambda: reorganize_derived(
+                engine, self.store, payload.get("builder"),
+                [int(s) for s in shards] if shards else None,
+            )
+        )
         return {
             "started": True,
-            "target": target_id,
-            "pipelined": bool(config.async_reorg),
+            "target": target.layout_id,
+            "pipelined": bool(self.store.engine_config().async_reorg),
         }
 
     async def _post_abort(self) -> dict[str, Any]:

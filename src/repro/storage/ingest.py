@@ -16,6 +16,12 @@ partitions, weaker clustering across batches), which is exactly what
 :meth:`IncrementalStore.consolidate` — a full reorganization into a new
 layout — repairs; OREO decides *when* that is worth α.
 
+A table written whole is the one-component case of the same structure:
+``IncrementalStore(..., initial=stored)`` adopts what
+:meth:`PartitionStore.materialize` wrote exactly as a finished
+consolidation adopts its own result, so :class:`~repro.engine.LayoutEngine`
+serves ``open(table)`` and streaming ingest from one store object.
+
 An attached :class:`~repro.core.cost_model.CostEvaluator` is kept in sync
 with the materialized metadata: every append and every consolidation
 installs a new snapshot object and registers it
@@ -79,24 +85,36 @@ class IncrementalStore:
         layout: DataLayout,
         evaluator: CostEvaluator | None = None,
         allow_ingest_during_consolidation: bool = True,
+        initial: StoredLayout | None = None,
     ):
+        if initial is None:
+            initial = StoredLayout(layout, LayoutMetadata(partitions=()), ())
+        elif initial.layout.layout_id != layout.layout_id:
+            raise ValueError("initial stored layout was not written under `layout`")
         self.store = store
         self.schema = schema
-        self.layout = layout
         self.evaluator = evaluator
         self.allow_ingest_during_consolidation = allow_ingest_during_consolidation
-        self._partitions: list[StoredPartition] = []
-        self._metadata: list[PartitionMetadata] = []
-        self._snapshot = LayoutMetadata(partitions=())
-        self._next_partition_id = 0
         self._batches_ingested = 0
         self._consolidating = False
-        self._consolidation_scheduler: ReorgScheduler | None = None
         #: batches routed through the sidecar while a consolidation was in
         #: flight, retained for replay through the new layout at commit
         self._sidecar_batches: list[Table] = []
-        if evaluator is not None:
-            evaluator.register_metadata(layout.layout_id, self._snapshot)
+        self._adopt(initial)
+
+    def _adopt(self, stored: StoredLayout) -> None:
+        """Take ``stored`` as this store's whole state; register its snapshot.
+
+        How a complete layout becomes the store's — ``initial`` at
+        construction, a consolidation's result at its commit.
+        """
+        self.layout = stored.layout
+        self._snapshot = stored
+        self._next_partition_id = (
+            max((p.partition_id for p in stored.partitions), default=-1) + 1
+        )
+        if self.evaluator is not None:
+            self.evaluator.register_metadata(self.layout.layout_id, stored.metadata)
 
     # ----------------------------------------------------------------- ingest
     def ingest(self, batch: Table) -> int:
@@ -142,8 +160,8 @@ class IncrementalStore:
     def _append_batch(self, batch: Table, directory: Path, count_batch: bool = True) -> int:
         """Append one batch's partitions under the current layout, atomically.
 
-        All bookkeeping (partition list, metadata, next id, batch counter,
-        snapshot, evaluator registration) is staged locally and committed
+        All bookkeeping (next id, batch counter, snapshot, evaluator
+        registration) is staged locally and committed
         only after every partition file of the batch landed on disk; a
         mid-batch write failure removes the orphaned files and leaves the
         store exactly as it was.
@@ -165,33 +183,32 @@ class IncrementalStore:
                 self.store.remove_partition_file(orphan)
             raise
         self._next_partition_id = next_id
-        self._partitions.extend(staged_parts)
-        self._metadata.extend(staged_meta)
         if count_batch:
             self._batches_ingested += 1
-        self._snapshot = LayoutMetadata(partitions=tuple(self._metadata))
+        old = self._snapshot
+        self._snapshot = StoredLayout(
+            layout=self.layout,
+            metadata=LayoutMetadata(partitions=(*old.metadata.partitions, *staged_meta)),
+            partitions=(*old.partitions, *staged_parts),
+        )
         if self.evaluator is not None:
-            self.evaluator.register_metadata(self.layout.layout_id, self._snapshot)
+            self.evaluator.register_metadata(self.layout.layout_id, self._snapshot.metadata)
         return len(staged_parts)
 
     # ------------------------------------------------------------------ views
     def stored(self) -> StoredLayout:
         """Snapshot of the current materialization (queryable as-is)."""
-        return StoredLayout(
-            layout=self.layout,
-            metadata=self._snapshot,
-            partitions=tuple(self._partitions),
-        )
+        return self._snapshot
 
     @property
     def total_rows(self) -> int:
         """Rows ingested so far."""
-        return sum(p.row_count for p in self._partitions)
+        return self._snapshot.total_rows
 
     @property
     def num_partitions(self) -> int:
         """Partition files currently on disk."""
-        return len(self._partitions)
+        return len(self._snapshot.partitions)
 
     @property
     def batches_ingested(self) -> int:
@@ -224,14 +241,9 @@ class IncrementalStore:
         ingest and queries stall until the rewrite lands; see
         :meth:`consolidate_async` for the pipelined variant.
         """
-        if self._consolidating:
-            raise RuntimeError(
-                "an async consolidation is already in flight; drain the "
-                "scheduler (or abort_consolidation) first"
-            )
-        snapshot = self.stored()
-        new_stored, result = reorganize(self.store, snapshot, new_layout, self.schema)
-        self._finish_consolidation(new_layout, new_stored)
+        self._require_idle()
+        new_stored, result = reorganize(self.store, self.stored(), new_layout, self.schema)
+        self._finish_consolidation(new_stored)
         return result
 
     def consolidate_async(self, new_layout: DataLayout, scheduler: ReorgScheduler) -> None:
@@ -243,40 +255,39 @@ class IncrementalStore:
         store's bookkeeping lands in exactly the state :meth:`consolidate`
         leaves behind.  ``scheduler`` is a
         :class:`~repro.core.reorg_scheduler.ReorgScheduler` over this
-        store's :class:`PartitionStore`.  Ingesting while the
+        store's :class:`PartitionStore`; its ``abort()`` abandons the
+        move and releases this store.  Ingesting while the
         consolidation is in flight takes the
         dual-epoch sidecar path (see the module notes): the pipeline's
         frozen read set stays frozen, the batch is visible immediately,
         and the final commit replays it through the new layout so the
         outcome equals a synchronous consolidate-then-ingest sequence.
         """
-        if self._consolidating:
-            raise RuntimeError(
-                "an async consolidation is already in flight; drain the "
-                "scheduler (or abort_consolidation) first"
-            )
+        self._require_idle()
         if scheduler.store is not self.store:
             raise ValueError("scheduler drives a different PartitionStore")
-        if scheduler.active:
-            raise RuntimeError("scheduler already has a reorganization in flight")
         scheduler.start(
             self.stored(),
             new_layout,
             self.schema,
-            on_complete=lambda new_stored, result: self._finish_consolidation(
-                new_layout, new_stored
-            ),
-            # A direct scheduler.abort() must release the ingest guard
-            # too, not leave the store wedged behind a dead pipeline.
+            on_complete=lambda new_stored, result: self._finish_consolidation(new_stored),
+            # scheduler.abort() releases the ingest guard too, instead of
+            # leaving the store wedged behind a dead pipeline.
             on_abort=self._release_consolidation,
         )
         # Only after start() succeeded: an aborted start must not leave
         # the store refusing ingests with nothing in flight to drain.
         self._consolidating = True
-        self._consolidation_scheduler = scheduler
+
+    def _require_idle(self) -> None:
+        if self._consolidating:
+            raise RuntimeError(
+                "an async consolidation is already in flight; drain or "
+                "abort its scheduler first"
+            )
 
     def _release_consolidation(self) -> None:
-        """Drop the in-flight consolidation guard and its scheduler.
+        """Drop the in-flight consolidation guard.
 
         Also discards the sidecar replay queue: on an abort the sidecar
         partitions already sit in the bookkeeping as ordinary appends of
@@ -285,29 +296,7 @@ class IncrementalStore:
         this.)
         """
         self._consolidating = False
-        self._consolidation_scheduler = None
         self._sidecar_batches = []
-
-    def abort_consolidation(self, scheduler: ReorgScheduler) -> None:
-        """Abandon an in-flight async consolidation without committing.
-
-        ``scheduler`` must be the one driving this store's consolidation
-        — aborting some other (idle) scheduler must not release the
-        ingest guard while the real pipeline keeps running.  The staged
-        files are discarded, the store keeps serving (and ingesting into)
-        its pre-consolidation snapshot, and a new consolidation can be
-        started.  This is the recovery path when a movement step failed
-        mid-flight (e.g. disk full): the epoch protocol guarantees
-        nothing visible changed before the commit.
-        """
-        if self._consolidation_scheduler is None:
-            raise RuntimeError("no async consolidation is in flight")
-        if scheduler is not self._consolidation_scheduler:
-            raise ValueError(
-                "scheduler is not the one driving this store's consolidation"
-            )
-        scheduler.abort()
-        self._release_consolidation()
 
     def _remove_batch_files(self, layout_id: str) -> None:
         """Drop ``layout_id``'s per-batch partition files (ingest + sidecar)."""
@@ -323,15 +312,11 @@ class IncrementalStore:
         reads these files) — callers such as :meth:`LayoutEngine.close`
         with ``cleanup_on_close`` must abort it first.
         """
-        if self._consolidating:
-            raise RuntimeError(
-                "cannot delete files while an async consolidation is in "
-                "flight; abort it first"
-            )
+        self._require_idle()
         self._remove_batch_files(self.layout.layout_id)
         self.store.delete_layout(self.stored())
 
-    def _finish_consolidation(self, new_layout: DataLayout, new_stored) -> None:
+    def _finish_consolidation(self, new_stored: StoredLayout) -> None:
         """Swap the store's state onto a freshly consolidated layout."""
         # Detach the replay queue before releasing the guard (which
         # discards it): these batches arrived after the pipeline froze its
@@ -339,21 +324,11 @@ class IncrementalStore:
         replay, self._sidecar_batches = self._sidecar_batches, []
         self._release_consolidation()
         # The incremental directories hold the old batch files; drop them.
-        self._remove_batch_files(self.layout.layout_id)
-        old_layout_id = self.layout.layout_id
-        self.layout = new_layout
-        self._partitions = list(new_stored.partitions)
-        self._metadata = list(new_stored.metadata.partitions)
-        self._snapshot = new_stored.metadata
-        self._next_partition_id = (
-            max((p.partition_id for p in self._partitions), default=-1) + 1
-        )
-        if self.evaluator is not None:
-            # A no-op when the async scheduler (sharing this evaluator)
-            # already registered this exact snapshot at its commit.
-            if old_layout_id != new_layout.layout_id:
-                self.evaluator.forget(old_layout_id)
-            self.evaluator.register_metadata(new_layout.layout_id, self._snapshot)
+        retired_id = self.layout.layout_id
+        self._remove_batch_files(retired_id)
+        if self.evaluator is not None and retired_id != new_stored.layout.layout_id:
+            self.evaluator.forget(retired_id)  # a same-id rewrite retires nothing
+        self._adopt(new_stored)
         # Dual-epoch replay: batches that arrived mid-flight now route
         # through the *new* layout, exactly as if they had been ingested
         # right after a synchronous consolidate() — same partition ids,
@@ -361,5 +336,5 @@ class IncrementalStore:
         # already counted as ingested batches on arrival.
         for batch in replay:
             self._append_batch(
-                batch, self._batch_directory(new_layout.layout_id), count_batch=False
+                batch, self._batch_directory(self.layout.layout_id), count_batch=False
             )

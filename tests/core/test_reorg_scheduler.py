@@ -59,9 +59,7 @@ class TestDifferentialEquivalence:
         stored = store.materialize(simple_table, RoundRobinLayout(5))
         executor = QueryExecutor(store)
         evaluator = CostEvaluator(simple_table)
-        scheduler = ReorgScheduler(
-            store, executor=executor, evaluator=evaluator, step_partitions=2
-        )
+        scheduler = ReorgScheduler(store, evaluator=evaluator, step_partitions=2)
         scheduler.start(stored, target, simple_table.schema)
         new_stored, _ = scheduler.drain()
 
@@ -197,13 +195,13 @@ class TestInterleaving:
         old_expected = {
             id(q): executor.execute(stored, q) for q in queries
         }
-        scheduler = ReorgScheduler(store, executor=executor, step_partitions=1)
+        scheduler = ReorgScheduler(store, step_partitions=1)
         scheduler.start(stored, target, simple_table.schema)
         position = 0
         flipped = False
         while scheduler.active:
             query = queries[position % len(queries)]
-            outcome = scheduler.serve(query)
+            outcome = executor.execute(scheduler.visible, query)
             reference = old_expected[id(query)]
             assert outcome.partitions_total == reference.partitions_total
             assert outcome.rows_scanned == reference.rows_scanned
@@ -215,7 +213,7 @@ class TestInterleaving:
         new_stored = scheduler.visible
         assert new_stored is scheduler.pipeline.result[0]
         for query in queries:
-            outcome = scheduler.serve(query)
+            outcome = executor.execute(scheduler.visible, query)
             assert outcome.partitions_total == len(new_stored.partitions)
             assert outcome.rows_matched == old_expected[id(query)].rows_matched
 
@@ -231,11 +229,19 @@ class TestInterleaving:
             scheduler.start(stored, target, simple_table.schema)
 
     def test_serve_requires_executor(self, store, simple_table, target, range_query):
+        """Serving is the caller's: the scheduler holds no executor, only
+        the snapshot (``visible``) a caller-owned one must run against —
+        and not even that before a move has started."""
         stored = store.materialize(simple_table, RoundRobinLayout(4))
         scheduler = ReorgScheduler(store)
+        assert not hasattr(scheduler, "serve") and not hasattr(scheduler, "executor")
+        with pytest.raises(RuntimeError, match="no reorganization has been started"):
+            scheduler.visible  # noqa: B018 - the property raises
         scheduler.start(stored, target, simple_table.schema)
-        with pytest.raises(RuntimeError):
-            scheduler.serve(range_query)
+        scheduler.tick()
+        outcome = QueryExecutor(store).execute(scheduler.visible, range_query)
+        assert scheduler.visible is stored
+        assert outcome.partitions_total == len(stored.partitions)
 
     def test_on_complete_fires_once_at_commit(self, store, simple_table, target):
         stored = store.materialize(simple_table, RoundRobinLayout(4))
@@ -473,8 +479,8 @@ class TestIncrementalStoreAsync:
         scheduler = ReorgScheduler(store, step_partitions=1)
         incremental.consolidate_async(target, scheduler)
         scheduler.tick()
-        incremental.abort_consolidation(scheduler)
-        assert not scheduler.active
+        scheduler.abort()
+        assert not scheduler.active and not incremental.consolidating
         assert not store.staging_path(target.layout_id).exists()
         # the store still serves and ingests its pre-consolidation state
         assert incremental.stored().metadata is before.metadata
@@ -503,34 +509,6 @@ class TestIncrementalStoreAsync:
         incremental.ingest(batches[1])  # guard released, no wedge
         assert incremental.batches_ingested == 2
 
-    def test_abort_consolidation_requires_the_driving_scheduler(
-        self, tmp_path, simple_schema, simple_table, rng
-    ):
-        # Aborting a different (idle) scheduler must not release the
-        # ingest guard while the real pipeline keeps running.
-        batches = self._batches(simple_schema, count=2)
-        store = PartitionStore(tmp_path / "wrong-sched")
-        incremental = IncrementalStore(store, simple_schema, RoundRobinLayout(3))
-        incremental.ingest(batches[0])
-        target = RangeLayoutBuilder("x").build(simple_table, [], 5, rng)
-        driving = ReorgScheduler(store, step_partitions=1)
-        incremental.consolidate_async(target, driving)
-        other = ReorgScheduler(store, step_partitions=1)
-        with pytest.raises(ValueError, match="not the one driving"):
-            incremental.abort_consolidation(other)
-        assert incremental.consolidating  # guard still armed
-        incremental.abort_consolidation(driving)
-        assert not incremental.consolidating
-        incremental.ingest(batches[1])
-
-    def test_abort_consolidation_without_one_raises(self, tmp_path, simple_schema):
-        # With nothing in flight the guard must refuse, not silently
-        # abort whatever unrelated reorg the passed scheduler is running.
-        store = PartitionStore(tmp_path / "none")
-        incremental = IncrementalStore(store, simple_schema, RoundRobinLayout(3))
-        with pytest.raises(RuntimeError, match="no async consolidation"):
-            incremental.abort_consolidation(ReorgScheduler(store))
-
     def test_consolidate_async_rejects_foreign_store_scheduler(
         self, tmp_path, simple_schema, simple_table, rng
     ):
@@ -557,9 +535,7 @@ class TestIncrementalStoreAsync:
         stored = store.materialize(simple_table, RoundRobinLayout(5))
         executor = QueryExecutor(store)
         evaluator = CostEvaluator(simple_table)
-        scheduler = ReorgScheduler(
-            store, executor=executor, evaluator=evaluator, step_partitions=1
-        )
+        scheduler = ReorgScheduler(store, evaluator=evaluator, step_partitions=1)
         scheduler.start(stored, target, simple_table.schema)
         for _ in range(3):
             scheduler.tick()
@@ -690,7 +666,7 @@ class TestDualEpochIngest:
             incremental.ingest(batch)
         target = RangeLayoutBuilder("x").build(simple_table, [], 5, rng)
         executor = QueryExecutor(store)
-        scheduler = ReorgScheduler(store, executor=executor, step_partitions=1)
+        scheduler = ReorgScheduler(store, step_partitions=1)
         incremental.consolidate_async(target, scheduler)
         scheduler.tick()
         rows_before = incremental.total_rows
@@ -720,7 +696,7 @@ class TestDualEpochIngest:
         scheduler.tick()
         incremental.ingest(batches[2])  # lands in the sidecar
         total = sum(b.num_rows for b in batches)
-        incremental.abort_consolidation(scheduler)
+        scheduler.abort()
         # the sidecar partitions are ordinary appends of the old epoch now
         assert incremental.total_rows == total
         assert all(p.path.exists() for p in incremental.stored().partitions)

@@ -186,6 +186,31 @@ class TestRouting:
                 assert shard_engine.stats().rows_ingested == expected
             assert engine.stats().rows_ingested == batch.num_rows
 
+    def test_ingest_refusal_leaves_no_shard_half_written(self, tmp_path, bundle, layouts):
+        """A table landing on 2 of 4 shards: those two refuse ingest, the
+        hash-empty two would accept it — so a batch reaching both kinds
+        must be refused up front, before the accepting shards append."""
+        first, _ = layouts
+        engine = make_engine(tmp_path)
+        assignments = engine.shard_assignments(bundle.table)
+        opened = bundle.table.take(np.flatnonzero(assignments < 2))
+        rest = bundle.table.take(np.flatnonzero(assignments >= 2))
+        with engine.open(opened, first):
+            assert [s.holds_data for s in engine.shards] == [True, True, False, False]
+            assert [s.accepts_ingest for s in engine.shards] == [False, False, True, True]
+
+            def rows():
+                return [s.stored().total_rows if s.holds_data else 0 for s in engine.shards]
+
+            before = rows()
+            with pytest.raises(RuntimeError, match=r"shards \[0, 1\].*nothing was written"):
+                engine.ingest(bundle.table.take(np.arange(400)))
+            assert rows() == before
+            assert engine.stats().rows_ingested == 0
+            # a batch routed only to the shards the table left empty still lands
+            assert engine.ingest(rest.take(np.arange(100))) > 0
+            assert rows() == [*before[:2], *rows()[2:]] and sum(rows()[2:]) == 100
+
     def test_ingest_rejects_missing_shard_key(self, tmp_path, simple_table):
         with make_engine(tmp_path) as engine:
             with pytest.raises(ValueError, match=SHARD_KEY):
