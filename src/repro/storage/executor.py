@@ -3,7 +3,9 @@
 Mirrors the paper's shallow Spark integration (§VI-A1): the optimizer first
 consults partition-level metadata to compute the list of partition ids the
 query must read (the paper's ``BID IN (...)`` rewrite), then reads exactly
-those partition files and evaluates the predicate over their rows.  Wall
+those partition files — and of each only the columns the predicate
+references, as a columnar scan does — and evaluates the predicate over
+their rows.  Wall
 clock is measured around the read+filter work, giving the "query time"
 component of Figure 3 and Table I.
 
@@ -18,6 +20,8 @@ each install a new snapshot, which brings its own index
 (:meth:`QueryExecutor.execute_batch`) goes further and plans a whole query
 list with one :class:`~repro.layouts.workload_compiler.CompiledWorkload`
 pass, reading each surviving partition at most once for the batch.
+:meth:`QueryExecutor.full_scan` alone reads every column, as a
+reorganization does.
 """
 
 from __future__ import annotations
@@ -40,7 +44,12 @@ __all__ = ["QueryResult", "ScanResult", "QueryExecutor"]
 
 @dataclass(frozen=True)
 class QueryResult:
-    """Outcome and accounting of one physical query execution."""
+    """Outcome and accounting of one physical query execution.
+
+    ``bytes_read`` is the on-disk size of the partition files the query
+    opened, not the bytes decompressed: a read that projects a file down
+    to the predicate's columns is still charged the whole file.
+    """
 
     rows_matched: int
     rows_scanned: int
@@ -74,6 +83,10 @@ class ScanResult:
 
 class QueryExecutor:
     """Executes queries against stored layouts with partition pruning.
+
+    A query reads only the partitions that survive pruning and, of each,
+    only the columns its predicate references (one column when it
+    references none, to learn the row count).
 
     The compiled-workload cache is lock-protected, so concurrent
     ``execute``/``execute_batch`` callers (the sharded router's fan-out
@@ -116,6 +129,7 @@ class QueryExecutor:
         """Run one query: prune partitions by metadata, scan the rest."""
         start = time.perf_counter()
         relevant_ids = stored.metadata.zone_maps.relevant_partition_ids(query.predicate)
+        referenced = query.predicate.columns()
         rows_matched = 0
         rows_scanned = 0
         bytes_read = 0
@@ -123,7 +137,7 @@ class QueryExecutor:
         for partition in stored.partitions:
             if partition.partition_id not in relevant_ids:
                 continue
-            columns = self.store.read_partition(partition)
+            columns = self.store.read_partition(partition, referenced)
             mask = query.predicate.evaluate(columns)
             rows_matched += int(np.count_nonzero(mask))
             rows_scanned += partition.row_count
@@ -149,6 +163,9 @@ class QueryExecutor:
         :class:`~repro.layouts.workload_compiler.CompiledWorkload`
         evaluation (one column-wise pass instead of one per query), and
         each surviving partition file is read at most once for the batch.
+        That one read loads the union of the columns referenced by every
+        query whose plan selects the partition, since all of them evaluate
+        against it.
         Decompressed partitions are released as soon as no later query in
         the batch needs them, so peak memory is bounded by the still-live
         working set rather than the whole table.
@@ -170,6 +187,7 @@ class QueryExecutor:
             zip(position_ids.tolist(), matrix.sum(axis=0, dtype=np.int64).tolist(), strict=True)
         )
         planning_share = (time.perf_counter() - planning_start) / len(queries)
+        referenced = [query.predicate.columns() for query in queries]
         columns_cache: dict[int, dict[str, np.ndarray]] = {}
         results: list[QueryResult] = []
         for row, query in zip(matrix, queries, strict=True):
@@ -185,7 +203,10 @@ class QueryExecutor:
                     continue
                 columns = columns_cache.get(partition_id)
                 if columns is None:
-                    columns = self.store.read_partition(partition)
+                    wanted = frozenset().union(
+                        *(referenced[i] for i in np.flatnonzero(matrix[:, position]))
+                    )
+                    columns = self.store.read_partition(partition, wanted)
                     columns_cache[partition_id] = columns
                 mask = query.predicate.evaluate(columns)
                 rows_matched += int(np.count_nonzero(mask))

@@ -4,14 +4,18 @@ This is the reproduction's stand-in for Parquet-on-local-disk under Spark
 (§VI-A1's end-to-end setup).  Partitions are written as compressed ``.npz``
 archives — one array per column, zlib-compressed — which reproduces the cost
 structure the paper measures in Table I: queries read (decompress) only the
-partitions that survive metadata pruning, while reorganization must read
-*every* partition, reshuffle rows, and compress-and-write every new
-partition, making it one to two orders of magnitude dearer than a scan.
+partitions that survive metadata pruning, and of those only the columns
+their predicate references — ``np.load`` decompresses an archive member
+only when it is indexed, as a Parquet reader skips unreferenced column
+chunks — while reorganization must read *every* column of every
+partition, reshuffle rows, and compress-and-write every new partition,
+making it one to two orders of magnitude dearer than a scan.
 """
 
 from __future__ import annotations
 
 import shutil
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -163,10 +167,23 @@ class PartitionStore:
             shutil.rmtree(staging)
 
     # ------------------------------------------------------------------- reads
-    def read_partition(self, partition: StoredPartition) -> dict[str, np.ndarray]:
-        """Load one partition's columns from disk (decompressing)."""
+    def read_partition(
+        self, partition: StoredPartition, columns: Iterable[str] | None = None
+    ) -> dict[str, np.ndarray]:
+        """Load one partition's columns from disk (decompressing).
+
+        ``columns=None`` loads every column — what moving whole rows needs.
+        Otherwise only the named columns the archive holds are loaded (a
+        name it lacks is left out, so the predicate reports it as unknown),
+        and an empty request loads the archive's first column alone, so a
+        column-free predicate (``true``) still sees the partition's length.
+        """
         with np.load(partition.path) as archive:
-            return {name: archive[name] for name in archive.files}
+            names = archive.files
+            if columns is not None:
+                wanted = frozenset(columns)
+                names = [name for name in names if name in wanted] if wanted else names[:1]
+            return {name: archive[name] for name in names}
 
     def read_all(self, stored: StoredLayout, schema: Schema) -> Table:
         """Load an entire stored layout back into one in-memory table."""

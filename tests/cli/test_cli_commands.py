@@ -119,6 +119,17 @@ def test_cli_round_trip(store_setup):
     assert str(expected) in out
 
 
+def test_cli_column_free_predicates_count_every_row(store_setup):
+    """``true`` references no column; the projected read still sees every row."""
+    runner, store, csv_path, _, total = store_setup
+    _invoke(runner, ["ingest", str(store), "--csv", str(csv_path)])
+    for where, matched in (("true", total), ("not false", total), ("false", 0)):
+        out = _invoke(runner, ["query", str(store), "--where", where, "--format", "json"])
+        (record,) = json.loads(out)
+        assert record["rows_matched"] == matched, where
+        assert record["total_rows"] == total
+
+
 def test_cli_shard_counts(store_setup):
     runner, store, csv_path, _, _ = store_setup
     _invoke(runner, ["ingest", str(store), "--csv", str(csv_path)])
