@@ -13,13 +13,19 @@ all drive the same store:
     :meth:`StoreDir.initialize`; every later open reads it back.
 
 ``wal/``
-    A durable, append-only ingest log — one ``.npz`` file per ingested
+    A durable, append-only ingest log — one partition file
+    (``part-NNNNN`` plus
+    :data:`~repro.storage.partition_store.PARTITION_SUFFIX`) per ingested
     batch, written through the sanctioned
-    :class:`~repro.storage.partition_store.PartitionStore` writer.  This
-    is the source of truth: :meth:`StoreDir.open_engine` replays it in
-    order, so the opened engine always serves exactly the acknowledged
-    rows.  A partial tail file (a batch whose write was cut by a crash)
-    is detected and dropped — it was never acknowledged.
+    :class:`~repro.storage.partition_store.PartitionStore` writer and read
+    back with :func:`~repro.storage.partition_store.read_columns`, so the
+    file format is known only to the partition store.  This is the source
+    of truth: :meth:`StoreDir.open_engine` replays it in sequence order,
+    so the opened engine always serves exactly the acknowledged rows.
+    Batches an earlier version logged as ``.npz`` archives replay too, and
+    sequence numbers continue across both suffixes.  A partial tail file
+    (a batch whose write was cut by a crash) fails the format's checks
+    and is dropped — it was never acknowledged.
 
 ``data/``
     The engine's partition files — derived state.  ``open_engine`` wipes
@@ -37,7 +43,6 @@ from __future__ import annotations
 
 import json
 import re
-import zipfile
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,7 +54,12 @@ from ..layouts.base import DataLayout, LayoutBuilder
 from ..layouts.hash_layout import HashLayoutBuilder, RoundRobinLayoutBuilder
 from ..layouts.range_layout import RangeLayoutBuilder
 from ..layouts.zorder import ZOrderLayoutBuilder
-from ..storage.partition_store import PartitionStore
+from ..storage.partition_store import (
+    LEGACY_SUFFIX,
+    PARTITION_SUFFIX,
+    PartitionStore,
+    read_columns,
+)
 from ..storage.table import ColumnSpec, Schema, Table
 from .config import EngineConfig
 from .engine import LayoutEngine
@@ -92,7 +102,10 @@ _ENGINE_KEYS = frozenset(
     }
 )
 
-_WAL_FILE = re.compile(r"part-(\d{5})\.npz$")
+#: an ingest-log batch file: current partition files and legacy archives
+_WAL_FILE = re.compile(
+    rf"part-(\d{{5}})(?:{re.escape(PARTITION_SUFFIX)}|{re.escape(LEGACY_SUFFIX)})"
+)
 
 
 def schema_to_dict(schema: Schema) -> list[dict[str, Any]]:
@@ -438,11 +451,11 @@ class StoreDir:
         """``(sequence, path)`` of the log's batch files, in append order."""
         entries = []
         if self.wal_root.exists():
-            for path in sorted(self.wal_root.glob("part-*.npz")):
-                match = _WAL_FILE.search(path.name)
+            for path in self.wal_root.glob("part-*"):
+                match = _WAL_FILE.fullmatch(path.name)
                 if match:
                     entries.append((int(match.group(1)), path))
-        return entries
+        return sorted(entries)
 
     def append_batch(self, batch: Table) -> Path:
         """Durably append one batch to the ingest log; returns its file.
@@ -475,9 +488,9 @@ class StoreDir:
         schema = self.manifest.schema
         for position, (_, path) in enumerate(entries):
             try:
-                with np.load(path) as archive:
-                    columns = {name: archive[name] for name in schema.names()}
-            except (zipfile.BadZipFile, OSError, KeyError, EOFError, ValueError) as error:
+                stored = read_columns(path, schema.names())
+                columns = {name: stored[name] for name in schema.names()}
+            except (OSError, KeyError, ValueError) as error:
                 if position == len(entries) - 1:
                     # Unacknowledged tail write cut by a crash: not data loss.
                     break

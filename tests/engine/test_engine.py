@@ -19,6 +19,7 @@ from repro.engine import (
 from repro.core import OREO, OreoConfig
 from repro.layouts import QdTreeBuilder, RangeLayoutBuilder
 from repro.queries import Query, between
+from repro.storage.partition_store import PARTITION_SUFFIX
 from repro.workloads import tpch
 
 
@@ -58,7 +59,7 @@ class TestLifecycle:
         result = engine.query(queries[0])
         assert result.total_rows == bundle.table.num_rows
         engine.close()
-        assert not list((tmp_path / "s").rglob("*.npz"))
+        assert not list((tmp_path / "s").rglob(f"*{PARTITION_SUFFIX}"))
         engine.close()  # idempotent
 
     def test_double_open_rejected(self, tmp_path, bundle, layouts):
@@ -288,7 +289,7 @@ class TestManualReorg:
         engine.close()
         assert "reorg_aborted" in log.names()
         assert not list((tmp_path / "s").rglob("*.staging"))
-        assert not list((tmp_path / "s").rglob("*.npz"))
+        assert not list((tmp_path / "s").rglob(f"*{PARTITION_SUFFIX}"))
 
 
 class TestStreamingReorg:

@@ -27,6 +27,7 @@ import pytest
 from repro.engine import EngineConfig, EventLog, LayoutEngine
 from repro.layouts import RangeLayoutBuilder
 from repro.queries import Query, between
+from repro.storage import partition_store
 
 SHAPES = ("table", "ingest")
 MODES = pytest.mark.parametrize("async_reorg", [False, True], ids=["sync", "pipelined"])
@@ -153,16 +154,16 @@ def test_mover_fault_aborts_the_move_and_serving_continues(
     try:
         before = answers(engine, probes)
         old_files = files(engine)
-        save = np.savez_compressed
+        write = partition_store.write_columns
         calls = []
 
-        def failing_save(*args, **kwargs):
+        def failing_write(*args, **kwargs):
             calls.append(1)
             if len(calls) == 3:
                 raise OSError(28, "No space left on device")
-            return save(*args, **kwargs)
+            return write(*args, **kwargs)
 
-        monkeypatch.setattr(np, "savez_compressed", failing_save)
+        monkeypatch.setattr(partition_store, "write_columns", failing_write)
         raised = 0
         try:
             engine.reorganize(target)

@@ -30,6 +30,7 @@ from repro.experiments.physical import _replay_physical_direct, replay_physical
 from repro.layouts import RangeLayoutBuilder
 from repro.queries import Query, QueryStream, between
 from repro.storage import PartitionStore
+from repro.storage.partition_store import PARTITION_SUFFIX
 from repro.workloads import tpch
 
 
@@ -89,7 +90,7 @@ def capture_deletes():
         if layout_dir.exists():
             files = {
                 path.name: path.read_bytes()
-                for path in sorted(layout_dir.glob("*.npz"))
+                for path in sorted(layout_dir.glob(f"*{PARTITION_SUFFIX}"))
             }
         captured.append((stored.layout.layout_id, stored.metadata, files))
         return original(self, stored)
@@ -138,6 +139,7 @@ def assert_replays_identical(
         engine_deletes, direct_deletes, strict=True
     ):
         assert eid == did
+        assert efiles, f"{eid}: no partition files captured"
         assert emeta == dmeta
         assert sorted(efiles) == sorted(dfiles)
         for name in efiles:

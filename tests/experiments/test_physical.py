@@ -12,6 +12,7 @@ from repro.experiments import (
     make_builder,
     replay_physical,
 )
+from repro.storage.partition_store import PARTITION_SUFFIX
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +79,7 @@ class TestReplay:
         result = harness.run_static()
         root = tmp_path / "cleanup"
         replay_physical(bundle.table, stream, result, root, sample_stride=50)
-        leftover = [f for f in root.rglob("*.npz")]
+        leftover = [f for f in root.rglob(f"*{PARTITION_SUFFIX}")]
         assert leftover == []
 
 
@@ -203,4 +204,4 @@ class TestAsyncReplay:
             async_reorg=True,
             step_partitions=2,
         )
-        assert [f for f in root.rglob("*.npz")] == []
+        assert [f for f in root.rglob(f"*{PARTITION_SUFFIX}")] == []

@@ -12,6 +12,7 @@ from repro.storage import (
     QueryExecutor,
     reorganize,
 )
+from repro.storage.partition_store import PARTITION_SUFFIX
 
 
 @pytest.fixture
@@ -40,13 +41,13 @@ class TestDoubleBuffering:
         live = store.commit_staging("lay")
         assert live.exists()
         assert not staging.exists()
-        assert (live / "part-00000.npz").exists()
+        assert (live / f"part-00000{PARTITION_SUFFIX}").exists()
 
     def test_begin_staging_resets_stale_buffer(self, store, simple_table):
         staging = store.begin_staging("lay")
         store.write_partition_file(simple_table, np.arange(10), 0, staging)
         staging = store.begin_staging("lay")
-        assert list(staging.glob("*.npz")) == []
+        assert list(staging.glob(f"*{PARTITION_SUFFIX}")) == []
 
     def test_commit_staging_replaces_live_directory(self, store, simple_table):
         layout = RoundRobinLayout(4)
@@ -54,7 +55,8 @@ class TestDoubleBuffering:
         staging = store.begin_staging(layout.layout_id)
         store.write_partition_file(simple_table, np.arange(5), 0, staging)
         live = store.commit_staging(layout.layout_id)
-        assert sorted(f.name for f in live.glob("*.npz")) == ["part-00000.npz"]
+        names = sorted(f.name for f in live.glob(f"*{PARTITION_SUFFIX}"))
+        assert names == [f"part-00000{PARTITION_SUFFIX}"]
         assert not any(p.path.exists() for p in stored.partitions[1:])
 
     def test_commit_without_staging_raises(self, store):
@@ -69,12 +71,13 @@ class TestDoubleBuffering:
         store.materialize(simple_table, layout)
         stale = store.root / f"{layout.layout_id}.retired"
         stale.mkdir()
-        (stale / "leftover.npz").write_bytes(b"x")
+        (stale / f"leftover{PARTITION_SUFFIX}").write_bytes(b"x")
         staging = store.begin_staging(layout.layout_id)
         store.write_partition_file(simple_table, np.arange(5), 0, staging)
         live = store.commit_staging(layout.layout_id)
         assert not stale.exists()
-        assert sorted(f.name for f in live.glob("*.npz")) == ["part-00000.npz"]
+        names = sorted(f.name for f in live.glob(f"*{PARTITION_SUFFIX}"))
+        assert names == [f"part-00000{PARTITION_SUFFIX}"]
 
     def test_abort_staging_discards_buffer(self, store, simple_table):
         staging = store.begin_staging("lay")

@@ -7,7 +7,7 @@ import pytest
 
 from repro.layouts import RangeLayoutBuilder, RoundRobinLayout
 from repro.queries import Query, between
-from repro.storage import PartitionStore, QueryExecutor, reorganize
+from repro.storage import PartitionStore, QueryExecutor, partition_store, reorganize
 
 
 @pytest.fixture
@@ -68,16 +68,16 @@ class TestReorganize:
         fails on its second file must not have destroyed the only copy."""
         layout = RoundRobinLayout(4)
         stored = store.materialize(simple_table, layout)
-        save = np.savez_compressed
+        write = partition_store.write_columns
         calls = []
 
-        def failing_save(*args, **kwargs):
+        def failing_write(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
                 raise OSError(28, "No space left on device")
-            return save(*args, **kwargs)
+            return write(*args, **kwargs)
 
-        monkeypatch.setattr(np, "savez_compressed", failing_save)
+        monkeypatch.setattr(partition_store, "write_columns", failing_write)
         with pytest.raises(OSError, match="No space left"):
             reorganize(store, stored, layout, simple_table.schema)
         monkeypatch.undo()
