@@ -28,6 +28,7 @@ from repro.workloads import tpch
 
 from _common import (
     BENCH_JSON,
+    RESULTS_DIR,
     record_bench_fingerprint,
     record_bench_gate,
     validate_bench_json,
@@ -138,10 +139,10 @@ def test_zonemap_batched_cost_vector(benchmark, bundle):
     predicates = batches[0]
 
     def batched():
-        # A fresh index per pass: times column compilation + the full
+        # A fresh index and compiled sample per pass, the shape production
+        # prices with: times column and sample compilation + the full
         # (64 × 256) pruning matrix, with no mask-cache hits.
-        fresh = ZoneMapIndex(metadata)
-        return fresh.accessed_fractions(predicates)
+        return CompiledWorkload(predicates).accessed_fractions(ZoneMapIndex(metadata))
 
     fractions = benchmark(batched)
     expected = np.array([metadata.accessed_fraction(p) for p in predicates])
@@ -160,8 +161,7 @@ def test_zonemap_speedup_over_scalar_oracle(bundle):
     fresh 64-query admission samples stream through it, each compiled into
     a :class:`CompiledWorkload` and evaluated in one column-wise pass.
     Index compilation and every sample's compilation are charged to the
-    vectorized side.  (``ZoneMapIndex.accessed_fractions``, the
-    per-predicate loop this gate timed before, has no production caller.)
+    vectorized side.
     """
     metadata, batches = _zonemap_setup(bundle)
 
@@ -306,7 +306,7 @@ def _stacked_setup(bundle, num_layouts=STACKED_LAYOUTS):
 def _stacked_fingerprint(stack, indexes, batches) -> int:
     """Deterministic digest of the stacked evaluation under the fixed seeds.
 
-    CRC over every layout's *live* tensor slice plus the batched cost
+    CRC over every layout's *live* tensor slice plus the fused cost
     fractions for the first sample — the bits the equivalence suites pin,
     with padding (unspecified cells) excluded.
     """
@@ -316,7 +316,7 @@ def _stacked_fingerprint(stack, indexes, batches) -> int:
     for position, index in enumerate(indexes):
         live = np.ascontiguousarray(tensor[position, :, : index.num_partitions])
         digest = zlib.crc32(live.tobytes(), digest)
-    fractions = stack.accessed_fractions(compiled)
+    fractions = stack.fractions_tensor(tensor)
     return zlib.crc32(fractions.tobytes(), digest)
 
 
@@ -455,8 +455,10 @@ def test_bench_json_schema_and_determinism(bundle):
 
     The trajectory file separates volatile speedups (machine-dependent)
     from the deterministic workload fingerprint; two independent rebuilds
-    from the fixed seeds must produce the identical fingerprint, and the
-    merged file must validate against the schema after every write.
+    from the fixed seeds must produce the identical fingerprint, it must
+    equal the one committed in ``benchmarks/results/`` (a refactor that
+    flips one pruning bit or one fraction fails here), and the merged
+    file must validate against the schema after every write.
     """
     stack, indexes, batches = _stacked_setup(bundle, num_layouts=8)
     first = _stacked_fingerprint(stack, indexes, batches)
@@ -465,6 +467,8 @@ def test_bench_json_schema_and_determinism(bundle):
     )
     second = _stacked_fingerprint(rebuilt_stack, rebuilt_indexes, rebuilt_batches)
     assert first == second  # rerun under the fixed seed is bit-identical
+    committed = json.loads((RESULTS_DIR / BENCH_JSON.name).read_text())
+    assert first == committed["workload"]["stacked_state_space"]["fingerprint"]
 
     params = {
         "partitions": ZONEMAP_PARTITIONS,

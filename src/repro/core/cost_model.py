@@ -97,6 +97,18 @@ class CostEvaluator:
     #: drifts — keep the recent ones, never grow without limit.
     COMPILED_CACHE_CAP = 32
 
+    #: Query-count cutoff at or below which :meth:`cost_matrix` contracts
+    #: the stacked tensor in one fused einsum
+    #: (:meth:`StackedStateSpace.fractions_tensor`) instead of the
+    #: per-layout astype-then-matvec loop.  The loop pays Python dispatch
+    #: plus one strided cast and one BLAS call *per layout*, which
+    #: dominates for narrow samples — the per-step D-UMTS pricing is a
+    #: single query — while for wide admission samples the BLAS matvecs
+    #: win back the difference (crossover measured around 24 queries at
+    #: 32 layouts × 256 partitions; 16 keeps a safety margin on the fused
+    #: side).
+    FUSED_FRACTION_QUERY_CUTOFF = 16
+
     def __init__(self, table: Table | None):
         #: the priced table, or ``None`` for a metadata-only evaluator
         #: (streaming engines register materialized snapshots instead of
@@ -139,9 +151,10 @@ class CostEvaluator:
         a fixed layout id; registering them here makes every costing path
         use the catalog's view instead of re-deriving assignments from the
         layout object.  Registering a different snapshot object drops every
-        cost cached against the old one (its index goes with it); a slab
-        the layout already holds in the stacked state space stays and is
-        refilled in place the next time the layout is priced.
+        cost cached against the old one (its index goes with it); the
+        stacked state space swaps in the new index the next time the
+        layout is priced (:meth:`StackedStateSpace.update_layout`), which
+        drops everything the stack derived from the old one.
         """
         if self._metadata.get(layout_id) is metadata:
             return
@@ -188,7 +201,7 @@ class CostEvaluator:
         return cached
 
     def _ensure_stacked(self, layout: DataLayout) -> None:
-        """Register (or refresh) a layout's slab in the stacked state space."""
+        """Stack a layout's current index, replacing a stale one."""
         layout_id = layout.layout_id
         index = self.zone_maps(layout)
         if layout_id not in self._stacked:
@@ -273,10 +286,7 @@ class CostEvaluator:
                     self._ensure_stacked(layout)
                     ids.append(layout.layout_id)
                 tensor = self._stacked.prune_tensor(compiled, ids)
-                if len(predicates) <= StackedStateSpace.FUSED_FRACTION_QUERY_CUTOFF:
-                    # Narrow samples (the per-step D-UMTS pricing is one
-                    # query): contract the whole bool tensor in one fused
-                    # einsum instead of one astype+matvec per layout.
+                if len(predicates) <= self.FUSED_FRACTION_QUERY_CUTOFF:
                     fused = self._stacked.fractions_tensor(tensor, ids)
             for position, (row, layout, missing_positions) in enumerate(pending):
                 index = self.zone_maps(layout)

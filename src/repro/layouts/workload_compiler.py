@@ -28,20 +28,22 @@ once, independent of any layout:
 
 Evaluating the compiled workload against a layout's
 :class:`~repro.layouts.zonemaps.ZoneMapIndex` then produces the full
-``(num_queries, num_partitions)`` may-match or matches-all matrix in a
-handful of broadcasted comparisons — one ``(num_atoms, num_partitions)``
-block per group from the shared atom kernel
+``(num_queries, num_partitions)`` may-match matrix in a handful of
+broadcasted comparisons — one ``(num_atoms, num_partitions)`` block per
+group from the shared atom kernel
 (:func:`repro.layouts.zonemaps._atom_block`) plus the single fused
 reduction (:meth:`CompiledWorkload._reduce`) — instead of one ``_mask``
 recursion per query.  The per-predicate path evaluates an atom as a
 one-row block of the same kernel, so the output is bit-for-bit identical
-to it and to the scalar ``may_match``/``matches_all`` oracle (asserted
-by the equivalence and property test suites).
+to it and to the scalar ``may_match`` oracle (asserted by the
+equivalence and property test suites).  Only the may-match side is
+batched: pruning and pricing never ask for matches-all, and the ``Not``
+residue that needs it gets it from the per-predicate path.
 
-Conjunction semantics make the reduction exact: for ``And`` nodes both
-``may_match`` and ``matches_all`` distribute over children as logical
-AND, so batching the supported conjuncts and folding residue conjuncts
-in afterwards loses nothing.
+Conjunction semantics make the reduction exact: ``may_match`` of an
+``And`` node is the logical AND of its children's, so batching the
+supported conjuncts and folding residue conjuncts in afterwards loses
+nothing.
 
 A compiled workload is the middle tier of a three-tier fallback chain,
 widest scope first:
@@ -49,7 +51,7 @@ widest scope first:
 1. **stacked 3-D pass** — :class:`repro.layouts.stacked.StackedStateSpace`
    evaluates one compiled workload against *every* layout in the state
    space at once, emitting the ``(layouts × queries × partitions)``
-   tensor from this module's reduction run over the concatenated slabs;
+   tensor from this module's reduction run over the concatenated zones;
 2. **per-layout compiled pass** (this module) — one
    ``(queries × partitions)`` matrix per :class:`ZoneMapIndex`; the
    stacked tier drops *residue layouts* (non-vectorizable columns) back
@@ -180,7 +182,7 @@ class CompiledWorkload:
         groups: dict[tuple[str, str], _AtomGroup] = {}
         #: (query row, node) pairs evaluated via the per-predicate path
         self._residue: list[tuple[int, Predicate]] = []
-        #: query rows containing an AlwaysFalse conjunct: both masks False
+        #: query rows containing an AlwaysFalse conjunct: never match
         self._false_rows: list[int] = []
         for row, predicate in enumerate(self.predicates):
             stack = [predicate]
@@ -303,15 +305,13 @@ class CompiledWorkload:
     # --------------------------------------------------------------- evaluation
     def prune_matrix(self, index: ZoneMapIndex) -> np.ndarray:
         """``(num_queries, num_partitions)`` may-match matrix for ``index``."""
-        return self._evaluate(index, want_all=False)
-
-    def matches_all_matrix(self, index: ZoneMapIndex) -> np.ndarray:
-        """``(num_queries, num_partitions)`` matches-all matrix for ``index``."""
-        return self._evaluate(index, want_all=True)
-
-    def matrices(self, index: ZoneMapIndex) -> tuple[np.ndarray, np.ndarray]:
-        """(may-match, matches-all) matrices in one call."""
-        return self.prune_matrix(index), self.matches_all_matrix(index)
+        out = self._reduce(
+            index.num_partitions,
+            lambda group, block: self._group_matrix(group, index, block),
+        )
+        for row, node in self._residue:
+            out[row] &= index._mask(node, False)
+        return out
 
     def accessed_fractions(self, index: ZoneMapIndex) -> np.ndarray:
         """Batched ``c(s, q)`` over the sample: one matrix product."""
@@ -368,19 +368,8 @@ class CompiledWorkload:
             out[row] = False
         return out
 
-    def _evaluate(self, index: ZoneMapIndex, want_all: bool) -> np.ndarray:
-        out = self._reduce(
-            index.num_partitions,
-            lambda group, block: self._group_matrix(group, index, want_all, block),
-        )
-        for row, node in self._residue:
-            out[row] &= index._mask(node, want_all)
-        return out
-
     @staticmethod
-    def _group_matrix(
-        group: _AtomGroup, index: ZoneMapIndex, want_all: bool, out: np.ndarray
-    ) -> None:
+    def _group_matrix(group: _AtomGroup, index: ZoneMapIndex, out: np.ndarray) -> None:
         """Write one group's ``(unique atoms × partitions)`` block into ``out``.
 
         Kernels and fallbacks run over the group's *unique* constants;
@@ -397,10 +386,9 @@ class CompiledWorkload:
             per_atom = zones is not None and group.kind == "in" and not zones.all_distinct
         if per_atom:
             for row, node in enumerate(group.unodes):
-                out[row] = index._mask(node, want_all)
+                out[row] = index._mask(node, False)
         elif zones is None:
-            # Column in no partition's stats: may_match is vacuously True
-            # (no-op under AND); matches_all is False for every partition.
-            out[:] = not want_all
+            # Column in no partition's stats: may_match is vacuously True.
+            out[:] = True
         else:
-            _atom_block(zones, group.kind, group.first, group.second, want_all, out)
+            _atom_block(zones, group.kind, group.first, group.second, False, out)

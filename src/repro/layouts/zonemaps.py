@@ -13,10 +13,12 @@ into dense columnar arrays — per-column ``min``/``max`` vectors of shape
 for the distinct sets (≤ ``DISTINCT_SET_CAP`` values per partition) — the
 same representation real zone-map / micro-partition systems keep in their
 catalog.  A predicate "compiler" then lowers the existing ``Predicate``
-AST (``Comparison``, ``Between``, ``In``, ``And``, ``Or``, ``Not``) to
-vectorized may-match / matches-all masks over *all partitions at once*,
-and a batched entry point produces the full ``(num_queries,
-num_partitions)`` pruning matrix in one shot.
+AST (``Comparison``, ``Between``, ``In``, ``And``, ``Or``, ``Not``) to a
+vectorized may-match mask over *all partitions at once*.  The lowering
+(:meth:`ZoneMapIndex._mask`) computes either side of the (may-match,
+matches-all) pair, because ``Not`` evaluates its child on the other
+side; every public entry point asks for may-match, the only side
+pruning and pricing read.
 
 The compiled path is an exact drop-in for the scalar oracle: for every
 supported predicate node the masks are bit-for-bit identical to looping
@@ -32,17 +34,17 @@ of one column and operator.  Every tier is a caller of it, differing only
 in how many atoms and how wide a partition axis it passes:
 
 * the **stacked state space** —
-  :class:`~repro.layouts.stacked.StackedStateSpace` pads every layout's
-  dense zone arrays into ``(layouts × partitions)`` slabs and asks for
-  blocks over the whole state space at once, emitting ``(layouts ×
-  queries × partitions)`` tensors for admission, pruning and cost-matrix
-  batching;
+  :class:`~repro.layouts.stacked.StackedStateSpace` concatenates every
+  live layout's dense zone arrays into one ``layouts·partitions`` axis
+  and asks for blocks over the whole state space at once, emitting the
+  ``(layouts × queries × partitions)`` may-match tensor for admission,
+  pruning and cost-matrix batching;
 * the **batched fast path** —
   :class:`~repro.layouts.workload_compiler.CompiledWorkload` compiles a
   whole query sample (grouping atoms by column and operator), asks for
   one block per group and folds them into the full ``(num_queries,
-  num_partitions)`` matrices; the decision loops (cost evaluator,
-  admission, batch planning) run here;
+  num_partitions)`` may-match matrix; the decision loops (cost
+  evaluator, admission, batch planning) run here;
 * the **per-predicate path** — :meth:`ZoneMapIndex.prune_matrix` /
   :meth:`ZoneMapIndex.may_match_mask` recurse ``_mask`` once per
   predicate, each atom a one-row block; single-query planning and the
@@ -157,8 +159,8 @@ class _ColumnZones:
         self.bitmap = bitmap
         self.value_index = value_index
         #: optional ``(num_partitions, num_values)`` bool expansion of the
-        #: bitmap.  The stacked state space materializes it (once per stack
-        #: version) so equality membership is one boolean gather instead of
+        #: bitmap.  The stacked state space materializes it (once per
+        #: membership) so equality membership is one boolean gather instead of
         #: replicated uint64 word arithmetic over the much wider stacked
         #: partition axis; plain per-layout indexes leave it ``None``.
         self.unpacked: np.ndarray | None = None
@@ -176,8 +178,9 @@ def _fractions_from_matrix(
 ) -> np.ndarray:
     """Accessed fractions ``c(s, q)`` from a may-match matrix.
 
-    The one definition of the fraction arithmetic shared by every tier
-    (per-predicate, compiled, stacked, and the cost evaluator's caches):
+    The one definition of the fraction arithmetic shared by the compiled
+    tier and the cost evaluator's caches (the stacked fused contraction
+    is asserted bit-for-bit against it):
     keeping a single accumulation order and dtype is what makes the
     cross-tier "floats are bit-for-bit equal" contract unbreakable (the
     sums are exact anyway — row counts are integers below 2**53).
@@ -389,10 +392,10 @@ class ZoneMapIndex:
 
     * :meth:`may_match_mask` — one boolean per partition (the paper's
       ``BID IN (...)`` rewrite comes straight from its True positions);
-    * :meth:`accessed_fraction` / :meth:`accessed_fractions` — the cost
-      oracle ``c(s, q)``, scalar and batched;
+    * :meth:`accessed_fraction` — the cost oracle ``c(s, q)``;
     * :meth:`prune_matrix` — the full ``(num_queries, num_partitions)``
-      boolean matrix for a query sample, used by Algorithm 5 admission.
+      boolean matrix for a query sample, one ``_mask`` per predicate:
+      the per-predicate reference the batched tiers are measured against.
     """
 
     #: sentinel distinguishing "not compiled yet" from "not compilable"
@@ -414,7 +417,6 @@ class ZoneMapIndex:
         # fact tables carry dozens of columns while workloads touch a few.
         self._columns: dict[str, object] = {}
         self._may_cache: dict[tuple, np.ndarray] = {}
-        self._all_cache: dict[tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------- compilation
     def _column(self, name: str) -> _ColumnZones | None:
@@ -532,10 +534,6 @@ class ZoneMapIndex:
     #: periodically dropping everything.
     MASK_CACHE_CAP = 1024
 
-    def masks(self, predicate: Predicate) -> tuple[np.ndarray, np.ndarray]:
-        """(may_match, matches_all) boolean masks over all partitions."""
-        return self.may_match_mask(predicate), self.matches_all_mask(predicate)
-
     def may_match_mask(self, predicate: Predicate) -> np.ndarray:
         """Boolean per partition: may any of its rows satisfy ``predicate``?"""
         key = predicate.cache_key()
@@ -543,16 +541,6 @@ class ZoneMapIndex:
         if cached is None:
             cached = lru_put(
                 self._may_cache, key, self._mask(predicate, False), self.MASK_CACHE_CAP
-            )
-        return cached
-
-    def matches_all_mask(self, predicate: Predicate) -> np.ndarray:
-        """Boolean per partition: do all of its rows satisfy ``predicate``?"""
-        key = predicate.cache_key()
-        cached = lru_get(self._all_cache, key)
-        if cached is None:
-            cached = lru_put(
-                self._all_cache, key, self._mask(predicate, True), self.MASK_CACHE_CAP
             )
         return cached
 
@@ -583,11 +571,3 @@ class ZoneMapIndex:
         if not predicates:
             return np.zeros((0, self.num_partitions), dtype=bool)
         return np.stack([self._mask(p, False) for p in predicates])
-
-    def accessed_fractions(self, predicates: Sequence[Predicate]) -> np.ndarray:
-        """Batched ``c(s, q)`` over a query sample, in one matrix product."""
-        if not predicates or self.total_rows == 0.0:
-            return np.zeros(len(predicates), dtype=np.float64)
-        return _fractions_from_matrix(
-            self.prune_matrix(predicates), self.row_counts, self.total_rows
-        )

@@ -237,28 +237,25 @@ class TestCacheChurn:
 
 
 class TestStackedSlabLifetime:
-    """A stacked slab follows its layout's snapshot: refilled in place when
-    the snapshot is replaced, tombstoned only when the layout is forgotten."""
+    """A layout's place in the stacked state space follows its snapshot:
+    the index is replaced when the snapshot is, and the layout leaves the
+    stack only when it is forgotten."""
 
-    def test_reregistering_refreshes_slab_in_place(self, simple_table):
+    def test_reregistering_replaces_stacked_index(self, simple_table):
         from repro.layouts.metadata import build_layout_metadata
 
         evaluator = CostEvaluator(simple_table)
         layout = RoundRobinLayout(4)
         queries = [Query(predicate=between("x", 0.0, 30.0))]
-        evaluator.cost_matrix([layout], queries)  # registers the stacked slab
-        slot = evaluator._stacked._slots[layout.layout_id]
+        evaluator.cost_matrix([layout], queries)  # stacks the layout
         assignment = np.random.default_rng(9).integers(0, 4, size=simple_table.num_rows)
         new_metadata = build_layout_metadata(simple_table, assignment)
         evaluator.register_metadata(layout.layout_id, new_metadata)
         assert evaluator.cache_sizes() == (1, 0)  # costs of the old snapshot dropped
         priced = evaluator.cost_matrix([layout], queries)
-        assert priced[0, 0] == new_metadata.accessed_fraction(queries[0].predicate)
-        # same slot, new index: update_layout, not tombstone + re-add
-        assert evaluator._stacked._slots[layout.layout_id] == slot
-        assert evaluator._stacked._dead == 0
+        assert len(evaluator._stacked) == 1  # replaced, not stacked twice
         assert evaluator._stacked.index_for(layout.layout_id) is new_metadata.zone_maps
-        assert evaluator.zone_maps(layout) is new_metadata.zone_maps
+        assert priced[0, 0] == new_metadata.accessed_fraction(queries[0].predicate)
 
     def test_forget_discards_stacked_slab(self, simple_table):
         evaluator = CostEvaluator(simple_table)

@@ -10,7 +10,7 @@ after every step asserts that
 * every cached cost float equals the scalar-oracle fraction recomputed
   from the layout's current metadata — i.e. a reorganization's new
   snapshot invalidated everything priced against the old one, and the
-  stacked slab was refilled in place;
+  stack swapped in the new snapshot's index;
 * the D-UMTS bookkeeping invariants hold (``counters ⊆ states``, state
   set in sync with the evaluator's view).
 """

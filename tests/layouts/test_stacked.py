@@ -3,8 +3,9 @@
 The contract: for every live layout, the tensor slice
 ``prune_tensor(compiled)[i, :, :P_i]`` is bit-for-bit the per-layout
 ``compiled.prune_matrix(index_i)`` (and hence the scalar oracle), across
-ragged partition counts, residue layouts, tombstones, compaction, width
-growth, in-place slab updates, and shared-union bitmap re-coding.
+ragged partition counts, residue layouts, removals and re-adds, width
+growth and shrinkage, index replacement, and shared-union bitmap
+re-coding.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import CostEvaluator
 from repro.layouts import (
     CompiledWorkload,
     HashLayoutBuilder,
     QdTreeBuilder,
     RangeLayoutBuilder,
+    RoundRobinLayout,
     StackedStateSpace,
     ZOrderLayoutBuilder,
     ZoneMapIndex,
@@ -76,17 +79,16 @@ def assert_stack_matches(stack: StackedStateSpace, compiled: CompiledWorkload):
     """Every live slice equals the per-layout compiled pass, bit for bit."""
     ids = stack.layout_ids
     may = stack.prune_tensor(compiled)
-    all_ = stack.matches_all_tensor(compiled)
-    fractions = stack.accessed_fractions(compiled)
+    fractions = stack.fractions_tensor(may)
     assert may.shape == (len(ids), compiled.num_queries, stack.partition_width)
+    assert stack.partition_width == max(
+        (stack.index_for(layout_id).num_partitions for layout_id in ids), default=0
+    )
     for position, layout_id in enumerate(ids):
         index = stack.index_for(layout_id)
         num = index.num_partitions
         np.testing.assert_array_equal(
             may[position, :, :num], compiled.prune_matrix(index)
-        )
-        np.testing.assert_array_equal(
-            all_[position, :, :num], compiled.matches_all_matrix(index)
         )
         np.testing.assert_array_equal(
             fractions[position], compiled.accessed_fractions(index)
@@ -161,7 +163,8 @@ class TestEquivalence:
         compiled = CompiledWorkload(_PROBES)
         assert stack.prune_tensor(compiled).shape == (1, len(_PROBES), 0)
         np.testing.assert_array_equal(
-            stack.accessed_fractions(compiled)[0], np.zeros(len(_PROBES))
+            stack.fractions_tensor(stack.prune_tensor(compiled))[0],
+            np.zeros(len(_PROBES)),
         )
 
 
@@ -202,6 +205,12 @@ class TestResidueLayouts:
                 PartitionMetadata(1, 4, {"c": ColumnStats(5, 5, frozenset({5}))}),
             )
         )
+        no_values = LayoutMetadata(  # a bitmap with zero words
+            partitions=(
+                PartitionMetadata(0, 3, {"c": ColumnStats(1, 2, frozenset())}),
+                PartitionMetadata(1, 0, {"c": ColumnStats(1, 1, frozenset())}),
+            )
+        )
         compiled = CompiledWorkload(
             [eq("c", 3), ne("c", 9), isin("c", [2, 5]), isin("c", [1, 9])]
         )
@@ -209,6 +218,7 @@ class TestResidueLayouts:
             {"A": ZoneMapIndex(first), "B": ZoneMapIndex(second)}
         )
         assert_stack_matches(stack, compiled)
+        assert_stack_matches(StackedStateSpace({"none": ZoneMapIndex(no_values)}), compiled)
 
     def test_column_missing_from_some_layouts(self):
         with_b = LayoutMetadata(
@@ -225,17 +235,17 @@ class TestResidueLayouts:
 
 
 class TestMaintenance:
-    def test_add_does_not_touch_survivors(self):
+    def test_adds_and_width_growth_stay_exact(self):
         table = make_table(6)
         stack = StackedStateSpace({"L0": random_index(table, 0, 6)})
         compiled = CompiledWorkload(_PROBES)
-        stack.prune_tensor(compiled)  # build slabs
+        stack.prune_tensor(compiled)  # zones built before the adds
         stack.add_layout("L1", random_index(table, 1, 6))
         stack.add_layout("wide", random_index(table, 2, 24))  # grows the width
         assert stack.partition_width >= 24
         assert_stack_matches(stack, compiled)
 
-    def test_tombstone_then_compact(self):
+    def test_removals_and_readds_stay_exact(self):
         table = make_table(7)
         stack = StackedStateSpace(
             {f"L{i}": random_index(table, i, 4 + i) for i in range(5)}
@@ -246,7 +256,7 @@ class TestMaintenance:
         assert "L1" not in stack
         assert_stack_matches(stack, compiled)
         stack.remove_layout("L3")
-        stack.remove_layout("L0")  # dead (3) > live (2): compaction
+        stack.remove_layout("L0")
         assert stack.layout_ids == ["L2", "L4"]
         assert_stack_matches(stack, compiled)
         stack.add_layout("L5", random_index(table, 50, 3))
@@ -270,16 +280,23 @@ class TestMaintenance:
         with pytest.raises(KeyError):
             stack.prune_tensor(CompiledWorkload(_PROBES), ["ghost"])
 
-    def test_update_layout_in_place(self):
+    def test_update_layout_stays_exact(self):
         table = make_table(10)
         stack = StackedStateSpace(
             {"L0": random_index(table, 0, 6), "L1": random_index(table, 1, 6)}
         )
         compiled = CompiledWorkload(_PROBES)
-        stack.prune_tensor(compiled)  # slabs warm, update must refresh them
-        stack.update_layout("L0", random_index(table, 99, 10))
-        assert stack.index_for("L0").num_partitions <= stack.partition_width
+        stack.prune_tensor(compiled)  # zones built, the update must drop them
+        replacement = random_index(table, 99, 10)
+        stack.update_layout("L0", replacement)
+        assert stack.layout_ids == ["L0", "L1"]  # position kept
+        assert stack.index_for("L0") is replacement
         assert_stack_matches(stack, compiled)
+        stack.update_layout("L0", random_index(table, 7, 3))  # narrower again
+        assert stack.partition_width == 6
+        assert_stack_matches(stack, compiled)
+        with pytest.raises(KeyError):
+            stack.update_layout("ghost", replacement)
 
     def test_layout_subset_selection(self):
         table = make_table(11)
@@ -297,10 +314,6 @@ class TestMaintenance:
             subset[1, :, : stack.index_for("L0").num_partitions],
             compiled.prune_matrix(stack.index_for("L0")),
         )
-        np.testing.assert_array_equal(
-            stack.prune_matrix(compiled, "L2"),
-            compiled.prune_matrix(stack.index_for("L2")),
-        )
 
 
 class TestFusedFractionContraction:
@@ -313,30 +326,35 @@ class TestFusedFractionContraction:
             out[row] = compiled.accessed_fractions(index)
         return out
 
+    def _fused(self, stack, compiled):
+        return stack.fractions_tensor(stack.prune_tensor(compiled))
+
+    def _assert_cost_matrix_exact(self, table, parts, probes):
+        """``CostEvaluator.cost_matrix`` prices every layout of a fresh
+        stack exactly as the per-layout compiled fractions do."""
+        evaluator = CostEvaluator(None)
+        layouts = []
+        for seed, num in enumerate(parts):
+            layout = RoundRobinLayout(num, layout_id=f"L{seed}")
+            assignment = np.random.default_rng(seed).integers(0, num, size=table.num_rows)
+            evaluator.register_metadata(
+                layout.layout_id, build_layout_metadata(table, assignment)
+            )
+            layouts.append(layout)
+        priced = evaluator.cost_matrix(layouts, [Query(predicate=p) for p in probes])
+        compiled = CompiledWorkload(probes)
+        expected = [compiled.accessed_fractions(evaluator.zone_maps(l)) for l in layouts]
+        np.testing.assert_array_equal(priced, np.array(expected))
+
     def test_narrow_sample_takes_fused_path(self):
-        table = make_table(20)
-        stack = StackedStateSpace(
-            {f"L{i}": random_index(table, i, 3 + i) for i in range(5)}
-        )
-        compiled = CompiledWorkload(_PROBES[:3])  # below the cutoff
-        assert compiled.num_queries <= StackedStateSpace.FUSED_FRACTION_QUERY_CUTOFF
-        np.testing.assert_array_equal(
-            stack.accessed_fractions(compiled),
-            self._fractions_per_layout(stack, compiled, stack.layout_ids),
-        )
+        probes = _PROBES[:3]  # at or below the cutoff
+        assert len(probes) <= CostEvaluator.FUSED_FRACTION_QUERY_CUTOFF
+        self._assert_cost_matrix_exact(make_table(20), [3, 4, 5, 6, 7], probes)
 
     def test_wide_sample_takes_loop_path(self):
-        table = make_table(21)
-        stack = StackedStateSpace(
-            {f"L{i}": random_index(table, i, 4) for i in range(3)}
-        )
         probes = _PROBES + [between("a", float(i), float(i + 2)) for i in range(10)]
-        compiled = CompiledWorkload(probes)
-        assert compiled.num_queries > StackedStateSpace.FUSED_FRACTION_QUERY_CUTOFF
-        np.testing.assert_array_equal(
-            stack.accessed_fractions(compiled),
-            self._fractions_per_layout(stack, compiled, stack.layout_ids),
-        )
+        assert len(probes) > CostEvaluator.FUSED_FRACTION_QUERY_CUTOFF
+        self._assert_cost_matrix_exact(make_table(21), [4, 4, 4], probes)
 
     def test_fractions_tensor_direct(self):
         table = make_table(22)
@@ -344,7 +362,7 @@ class TestFusedFractionContraction:
             {f"L{i}": random_index(table, i, 2 + 3 * i) for i in range(4)}
         )
         compiled = CompiledWorkload(_PROBES)
-        ids = ["L2", "L0"]  # subset, out of slot order
+        ids = ["L2", "L0"]  # subset, out of insertion order
         tensor = stack.prune_tensor(compiled, ids)
         np.testing.assert_array_equal(
             stack.fractions_tensor(tensor, ids),
@@ -352,21 +370,22 @@ class TestFusedFractionContraction:
         )
 
     def test_fused_path_after_tombstones(self):
+        """Removing a layout drops the row counts the fused path caches."""
         table = make_table(23)
         stack = StackedStateSpace(
             {f"L{i}": random_index(table, i, 4) for i in range(4)}
         )
         compiled = CompiledWorkload(_PROBES[:2])
-        stack.accessed_fractions(compiled)  # warm the counts cache
+        self._fused(stack, compiled)  # warm the counts cache
         stack.remove_layout("L1")
         np.testing.assert_array_equal(
-            stack.accessed_fractions(compiled),
+            self._fused(stack, compiled),
             self._fractions_per_layout(stack, compiled, stack.layout_ids),
         )
-        # growth after removal invalidates the cached slab too
+        # growth after removal drops the cached counts too
         stack.add_layout("wide", random_index(table, 50, 9))
         np.testing.assert_array_equal(
-            stack.accessed_fractions(compiled),
+            self._fused(stack, compiled),
             self._fractions_per_layout(stack, compiled, stack.layout_ids),
         )
 
@@ -377,7 +396,7 @@ class TestFusedFractionContraction:
             {"live": random_index(table, 0, 4), "empty": empty}
         )
         compiled = CompiledWorkload(_PROBES[:3])
-        fractions = stack.accessed_fractions(compiled)
+        fractions = self._fused(stack, compiled)
         position = stack.layout_ids.index("empty")
         np.testing.assert_array_equal(
             fractions[position], np.zeros(compiled.num_queries)

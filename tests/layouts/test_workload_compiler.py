@@ -1,8 +1,8 @@
 """Unit tests for the workload compiler's batched matrices.
 
 ``CompiledWorkload`` must be a bit-for-bit drop-in for both the
-per-predicate ``ZoneMapIndex`` path and the scalar
-``may_match``/``matches_all`` oracle; these tests pin that equivalence on
+per-predicate ``ZoneMapIndex`` path and the scalar ``may_match``
+oracle; these tests pin that equivalence on
 hand-picked structures and every fallback edge (residue nodes, unknown
 columns, string boundaries, unsupported predicate classes, constant
 duplication, empty inputs).
@@ -47,17 +47,17 @@ def scalar_matrices(metadata, predicates):
 
 
 def assert_all_paths_agree(metadata, predicates):
-    """compiled == per-predicate == scalar oracle, both matrix sides."""
+    """compiled == per-predicate == scalar oracle, may-match and fractions."""
     index = ZoneMapIndex(metadata)
     workload = CompiledWorkload(predicates)
-    got_may, got_all = workload.matrices(index)
+    got_may = workload.prune_matrix(index)
     per_pred_may = index.prune_matrix(predicates)
-    expected_may, expected_all = scalar_matrices(metadata, predicates)
+    expected_may, _ = scalar_matrices(metadata, predicates)
     np.testing.assert_array_equal(got_may, per_pred_may)
     np.testing.assert_array_equal(got_may, expected_may)
-    np.testing.assert_array_equal(got_all, expected_all)
     np.testing.assert_array_equal(
-        workload.accessed_fractions(index), index.accessed_fractions(predicates)
+        workload.accessed_fractions(index),
+        np.array([index.accessed_fraction(p) for p in predicates], dtype=np.float64),
     )
 
 

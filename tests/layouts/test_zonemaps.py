@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.layouts import ZoneMapIndex
+from repro.layouts import CompiledWorkload, ZoneMapIndex
 from repro.layouts.metadata import (
     ColumnStats,
     DISTINCT_SET_CAP,
@@ -45,7 +45,7 @@ def scalar_masks(metadata, predicate):
 
 def assert_equivalent(metadata, predicate):
     index = ZoneMapIndex(metadata)
-    may, all_ = index.masks(predicate)
+    may, all_ = index.may_match_mask(predicate), index._mask(predicate, True)
     expected_may, expected_all = scalar_masks(metadata, predicate)
     np.testing.assert_array_equal(may, expected_may)
     np.testing.assert_array_equal(all_, expected_all)
@@ -114,7 +114,7 @@ def test_prune_matrix_shape_and_rows(sorted_metadata):
 def test_accessed_fractions_batched_equals_scalar(sorted_metadata):
     index = ZoneMapIndex(sorted_metadata)
     predicates = [between("x", float(i), float(i + 7)) for i in range(0, 90, 9)]
-    fractions = index.accessed_fractions(predicates)
+    fractions = CompiledWorkload(predicates).accessed_fractions(index)
     expected = np.array([sorted_metadata.accessed_fraction(p) for p in predicates])
     np.testing.assert_array_equal(fractions, expected)
 
@@ -126,7 +126,7 @@ def test_empty_layout():
     assert index.may_match_mask(predicate).shape == (0,)
     assert index.accessed_fraction(predicate) == 0.0
     assert index.prune_matrix([predicate]).shape == (1, 0)
-    assert index.accessed_fractions([]).shape == (0,)
+    assert CompiledWorkload([]).accessed_fractions(index).shape == (0,)
 
 
 def test_unknown_column_is_never_pruned(striped_metadata):
@@ -313,9 +313,9 @@ def test_relevant_partition_ids_matches_relevant_partitions(sorted_metadata):
 
 def test_masks_are_cached_per_predicate_identity(sorted_metadata):
     index = ZoneMapIndex(sorted_metadata)
-    first = index.masks(between("x", 0.0, 10.0))
-    second = index.masks(between("x", 0.0, 10.0))
-    assert first[0] is second[0] and first[1] is second[1]
+    first = index.may_match_mask(between("x", 0.0, 10.0))
+    second = index.may_match_mask(between("x", 0.0, 10.0))
+    assert first is second
 
 
 def test_mask_cache_is_bounded(sorted_metadata):
@@ -330,9 +330,8 @@ def test_mask_cache_is_bounded(sorted_metadata):
 def test_cost_entry_points_do_not_populate_mask_cache(sorted_metadata):
     index = ZoneMapIndex(sorted_metadata)
     index.accessed_fraction(between("x", 0.0, 10.0))
-    index.accessed_fractions([between("x", 20.0, 30.0)])
     index.prune_matrix([between("x", 40.0, 50.0)])
-    assert not index._may_cache and not index._all_cache
+    assert not index._may_cache
 
 
 def test_mask_cache_lru_keeps_hot_entries(sorted_metadata):

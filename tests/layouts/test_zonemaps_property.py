@@ -92,7 +92,7 @@ def test_random_assignment_masks_equal_scalar(data_seed, assign_seed, n, num_par
     assignment = np.random.default_rng(assign_seed).integers(0, num_partitions, size=n)
     metadata = build_layout_metadata(table, assignment)
     index = ZoneMapIndex(metadata)
-    may, all_ = index.masks(predicate)
+    may, all_ = index.may_match_mask(predicate), index._mask(predicate, True)
     expected_may, expected_all = scalar_masks(metadata, predicate)
     np.testing.assert_array_equal(may, expected_may)
     np.testing.assert_array_equal(all_, expected_all)
@@ -120,6 +120,6 @@ def test_builder_layout_prune_matrix_equals_scalar(data_seed, kind, predicate_li
     matrix = index.prune_matrix([q.predicate for q in workload])
     for row, query in zip(matrix, workload, strict=True):
         np.testing.assert_array_equal(row, scalar_masks(metadata, query.predicate)[0])
-    fractions = index.accessed_fractions([q.predicate for q in workload])
+    fractions = np.array([index.accessed_fraction(q.predicate) for q in workload])
     expected = np.array([metadata.accessed_fraction(q.predicate) for q in workload])
     np.testing.assert_array_equal(fractions, expected)
