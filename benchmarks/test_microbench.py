@@ -23,7 +23,12 @@ from repro.layouts import (
     ZOrderLayoutBuilder,
     ZoneMapIndex,
 )
-from repro.layouts.metadata import build_layout_metadata
+from repro.layouts.metadata import (
+    LayoutMetadata,
+    build_layout_metadata,
+    build_partition_metadata,
+    partition_row_indices,
+)
 from repro.workloads import tpch
 
 from _common import (
@@ -445,6 +450,77 @@ def test_fused_fractions_speedup_over_per_layout(bundle):
             "partitions": ZONEMAP_PARTITIONS,
             "queries": 1,
             "layouts": STACKED_LAYOUTS,
+        },
+    )
+    assert speedup >= 3.0
+
+
+METADATA_PARTITIONS = 128
+
+
+def test_metadata_build_speedup(bundle):
+    """Acceptance: the columnar metadata builder is ≥3× the per-partition
+    route at 128 partitions, both ending in an index with every column
+    compiled.
+
+    The columnar side is ``build_layout_metadata(...).zone_maps``: one sort,
+    ``reduceat`` min/max and one presence pass per categorical column, the
+    arrays lowered to kernel zones.  The reference side groups the rows,
+    runs ``build_partition_metadata`` per group, assembles
+    ``LayoutMetadata(partitions=...)`` and gathers every column of the
+    objects back into arrays — the route every snapshot took before the
+    builder emitted arrays, and the one ingest still takes.
+    """
+    table = bundle.table
+    names = table.schema.names()
+    assignment = np.random.default_rng(13).integers(
+        0, METADATA_PARTITIONS, size=table.num_rows
+    )
+
+    def columnar() -> ZoneMapIndex:
+        index = build_layout_metadata(table, assignment).zone_maps
+        for name in names:
+            index._column(name)
+        return index
+
+    def per_partition() -> ZoneMapIndex:
+        partitions = tuple(
+            build_partition_metadata(table, rows, partition_id)
+            for partition_id, rows in sorted(partition_row_indices(assignment).items())
+        )
+        index = ZoneMapIndex(LayoutMetadata(partitions=partitions))
+        for name in names:
+            index._column(name)
+        return index
+
+    # Exactness first (this also warms both routes): same objects, same zones.
+    fast, slow = columnar(), per_partition()
+    assert fast.partitions == slow.partitions
+    for name in names:
+        np.testing.assert_array_equal(fast._column(name).mins, slow._column(name).mins)
+        np.testing.assert_array_equal(fast._column(name).maxs, slow._column(name).maxs)
+        assert fast._column(name).value_index == slow._column(name).value_index
+
+    def measure() -> float:
+        reference = _timed(per_partition)
+        dense = _timed(columnar)
+        print(
+            f"\nmetadata build + compile speedup at {METADATA_PARTITIONS} partitions x "
+            f"{len(names)} columns: {reference / dense:.1f}x "
+            f"(per-partition {reference * 1e3:.1f} ms, columnar {dense * 1e3:.2f} ms)"
+        )
+        return reference / dense
+
+    # Best of three rounds: one scheduler hiccup must not fail the gate.
+    speedup = max(measure() for _ in range(3))
+    record_bench_gate(
+        "metadata_build_vs_per_partition",
+        threshold=3.0,
+        speedup=speedup,
+        params={
+            "partitions": METADATA_PARTITIONS,
+            "columns": len(names),
+            "table_rows": table.num_rows,
         },
     )
     assert speedup >= 3.0

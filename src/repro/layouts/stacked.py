@@ -57,8 +57,9 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from .metadata import pack_bits, unpack_bits
 from .workload_compiler import CompiledWorkload, _AtomGroup
-from .zonemaps import ZoneMapIndex, _atom_block, _ColumnZones, _Unsupported, _WORD_BITS
+from .zonemaps import ZoneMapIndex, _atom_block, _ColumnZones, _Unsupported
 
 __all__ = ["StackedStateSpace"]
 
@@ -220,19 +221,10 @@ class StackedStateSpace:
                 dtype=np.int64,
                 count=len(zones.value_index),
             )
-            own = np.unpackbits(
-                zones.bitmap.astype("<u8", copy=False).view(np.uint8),
-                axis=1,
-                count=len(positions),
-                bitorder="little",
-            )
-            bits[positions, slot, : len(own)] = own.view(bool).T
+            own = unpack_bits(zones.bitmap, len(positions))
+            bits[positions, slot, : len(own)] = own.T
         flat_bits = bits.reshape(len(union), len(self._indexes) * self._width).T
-        packed = np.packbits(flat_bits, axis=1, bitorder="little")
-        num_words = (len(union) + _WORD_BITS - 1) // _WORD_BITS
-        words = np.zeros((len(flat_bits), num_words * 8), dtype=np.uint8)
-        words[:, : packed.shape[1]] = packed
-        return words.view("<u8"), flat_bits
+        return pack_bits(flat_bits), flat_bits
 
     # --------------------------------------------------------------- evaluation
     def _positions(self, layout_ids: Sequence[str] | None) -> list[int]:

@@ -62,9 +62,14 @@ compiled from, so the snapshot owns it
 (:attr:`LayoutMetadata.zone_maps <repro.layouts.metadata.LayoutMetadata.zone_maps>`)
 and it is never updated in place: a physical mutation installs a new
 snapshot, which compiles its own (``docs/architecture.md``, "Cache
-freshness").  The index keeps the snapshot's partitions, not the
-snapshot — no cycle, so both die by reference count.  Compiling is linear
-in partitions — noise next to the reorganization that made it necessary.
+freshness").  The index keeps the snapshot's statistics, not the
+snapshot — no cycle, so both die by reference count.  A table-built
+snapshot arrives compiled: its
+:class:`~repro.layouts.metadata.DenseColumn` arrays lower to kernel zones
+with a dtype cast (:func:`_lower`).  Only metadata assembled from
+``PartitionMetadata`` objects (ingest, the pipelined reorganization) is
+gathered into those arrays first, per column on first use, linear in
+partitions (:func:`_compile_column`).
 """
 
 # reprolint: vectorized
@@ -87,7 +92,7 @@ from ..queries.predicates import (
     Predicate,
 )
 from ..utils import lru_get, lru_put
-from .metadata import LayoutMetadata
+from .metadata import DenseColumn, LayoutMetadata, PartitionMetadata
 
 __all__ = ["ZoneMapIndex"]
 
@@ -123,6 +128,19 @@ def _exact_float(value) -> float:
     if result is None:
         raise _Unsupported(value)
     return result
+
+
+def _exact_array(values: np.ndarray) -> bool:
+    """:func:`_maybe_exact_float` over a bound array of a reducible dtype.
+
+    Bools, floats up to 64 bits and narrower integers always convert
+    exactly; 64-bit integers beyond ±2**53 are checked one by one, by the
+    scalar rule itself, so the verdict is never stricter than it.
+    """
+    if values.dtype.kind not in "iu" or values.dtype.itemsize < 8:
+        return True
+    wide = values[(values > 2**53) | (values < -(2**53))]
+    return all(_maybe_exact_float(value) is not None for value in wide.tolist())
 
 
 class _ColumnZones:
@@ -201,8 +219,15 @@ def _pack_value_set(values, value_index: dict, num_words: int) -> np.ndarray:
     return packed
 
 
-def _compile_column(partitions, name: str) -> _ColumnZones | None:
-    """Build one column's dense zones; None when min/max are non-numeric."""
+def _compile_column(
+    partitions: Sequence[PartitionMetadata], name: str
+) -> DenseColumn | None:
+    """Gather one column of ``PartitionMetadata`` objects into dense arrays.
+
+    The adapter for metadata assembled from objects; a table-built snapshot
+    is born dense and never comes here.  ``None`` when a min/max does not
+    round-trip through float64 (non-numeric or lossy boundaries).
+    """
     count = len(partitions)
     min_values: list = [0.0] * count
     max_values: list = [0.0] * count
@@ -227,7 +252,7 @@ def _compile_column(partitions, name: str) -> _ColumnZones | None:
     maxs = np.asarray(max_values, dtype=np.float64)
 
     bitmap: np.ndarray | None = None
-    value_index: dict = {}
+    members: list | None = None
     if distinct_sets:
         union = frozenset().union(*(distinct for _, distinct in distinct_sets))
         sorted_ok = True
@@ -274,7 +299,31 @@ def _compile_column(partitions, name: str) -> _ColumnZones | None:
         bits = np.left_shift(np.uint64(1), (pos % _WORD_BITS).astype(np.uint64))
         np.bitwise_or.at(flat, row * num_words + pos // _WORD_BITS, bits)
         bitmap = flat.reshape(count, num_words)
-    return _ColumnZones(mins, maxs, has_stats, has_distinct, bitmap, value_index)
+        members = ordered
+    return DenseColumn(mins, maxs, has_stats, has_distinct, members, bitmap)
+
+
+def _lower(column: DenseColumn) -> _ColumnZones | None:
+    """Lower one column's dense statistics to kernel zones.
+
+    The one place both metadata forms become :class:`_ColumnZones`.
+    ``None`` when a recorded bound does not round-trip through float64:
+    the column is the scalar oracle's.
+    """
+    present = column.has_stats
+    everywhere = bool(present.all())
+    for bounds in (column.mins, column.maxs):
+        if not _exact_array(bounds if everywhere else bounds[present]):
+            return None
+    values = column.values
+    return _ColumnZones(
+        column.mins.astype(np.float64, copy=False),
+        column.maxs.astype(np.float64, copy=False),
+        present,
+        column.has_distinct,
+        column.bitmap,
+        {} if values is None else {value: bit for bit, value in enumerate(values)},
+    )
 
 
 def _member_block(zones: _ColumnZones, raw: Sequence, out: np.ndarray) -> np.ndarray:
@@ -404,19 +453,27 @@ class ZoneMapIndex:
     _NOT_COMPILABLE = object()
 
     def __init__(self, metadata: LayoutMetadata):
-        # The partitions, not the snapshot: the snapshot owns this index
+        # The statistics, not the snapshot: the snapshot owns this index
         # (``LayoutMetadata.zone_maps``), and a back-reference would make the
-        # pair a cycle that only the generational collector frees.
-        self.partitions = partitions = metadata.partitions
-        self.num_partitions = len(partitions)
-        self.row_counts = np.array(
-            [partition.row_count for partition in partitions], dtype=np.float64
-        )
-        self.total_rows = float(self.row_counts.sum())
+        # pair a cycle that only the generational collector frees.  A
+        # table-built snapshot hands over its dense arrays (whose oracle
+        # view is derived only if a fallback reads it), any other its tuple.
+        self._dense = dense = metadata.dense
+        self._partitions = metadata.partitions if dense is None else ()
+        self.num_partitions = metadata.num_partitions
+        self.partition_ids = metadata.partition_ids
+        self.row_counts = metadata.row_counts.astype(np.float64)
+        self.total_rows = float(metadata.total_rows)
         # Columns compile lazily, on first reference by a predicate: wide
         # fact tables carry dozens of columns while workloads touch a few.
         self._columns: dict[str, object] = {}
         self._may_cache: dict[tuple, np.ndarray] = {}
+
+    @property
+    def partitions(self) -> tuple[PartitionMetadata, ...]:
+        """The snapshot's per-partition view, for the scalar fallback."""
+        dense = self._dense
+        return self._partitions if dense is None else dense.partitions
 
     # ------------------------------------------------------------- compilation
     def _column(self, name: str) -> _ColumnZones | None:
@@ -428,19 +485,30 @@ class ZoneMapIndex:
         """
         zones = self._columns.get(name, self._UNCOMPILED)
         if zones is self._UNCOMPILED:
-            partitions = self.partitions
-            if any(name in partition.stats for partition in partitions):
-                zones = _compile_column(partitions, name)
-                if zones is None:
-                    zones = self._NOT_COMPILABLE
-            else:
-                zones = None
-            self._columns[name] = zones
+            zones = self._columns[name] = self._compile(name)
         if zones is None:
             return None
         if zones is self._NOT_COMPILABLE:
             raise _Unsupported(name)
         return zones
+
+    def _compile(self, name: str) -> object:
+        """One column's zones, ``None`` or ``_NOT_COMPILABLE`` (see :meth:`_column`)."""
+        dense = self._dense
+        if dense is None:
+            partitions = self._partitions
+            if not any(name in partition.stats for partition in partitions):
+                return None
+            column = _compile_column(partitions, name)
+        else:
+            found = dense.columns.get(name)
+            if isinstance(found, tuple):  # a dtype min/max cannot reduce
+                return self._NOT_COMPILABLE
+            if found is None or not found.has_stats.any():
+                return None
+            column = found
+        zones = None if column is None else _lower(column)
+        return self._NOT_COMPILABLE if zones is None else zones
 
     def _const(self, fill: bool) -> np.ndarray:
         return np.full(self.num_partitions, fill, dtype=bool)
@@ -546,9 +614,7 @@ class ZoneMapIndex:
 
     def relevant_partition_ids(self, predicate: Predicate) -> set[int]:
         """Ids of partitions that cannot be skipped (the BID IN rewrite)."""
-        mask = self.may_match_mask(predicate)
-        partitions = self.partitions
-        return {partitions[i].partition_id for i in np.flatnonzero(mask)}
+        return set(self.partition_ids[self.may_match_mask(predicate)].tolist())
 
     def accessed_fraction(self, predicate: Predicate) -> float:
         """Vectorized ``c(s, q)``: fraction of rows that must be read.

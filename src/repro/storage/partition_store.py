@@ -53,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from ..layouts.base import DataLayout
-from ..layouts.metadata import build_layout_metadata, partition_row_indices
+from ..layouts.metadata import build_layout_metadata, group_rows
 from .partition import StoredLayout, StoredPartition
 from .table import Schema, Table
 
@@ -212,8 +212,9 @@ class PartitionStore:
         live = self.root / layout.layout_id
         staging = self.begin_staging(layout.layout_id)
         stored: list[StoredPartition] = []
+        groups = group_rows(assignment)  # one sort serves the files and the metadata
         try:
-            for partition_id, rows in sorted(partition_row_indices(assignment).items()):
+            for partition_id, rows in groups.rows().items():
                 name = f"part-{partition_id:05d}{PARTITION_SUFFIX}"
                 stored.append(
                     StoredPartition(
@@ -227,7 +228,7 @@ class PartitionStore:
             self.abort_staging(layout.layout_id)
             raise
         self.commit_staging(layout.layout_id)
-        metadata = build_layout_metadata(table, assignment)
+        metadata = build_layout_metadata(table, groups)
         return StoredLayout(layout=layout, metadata=metadata, partitions=tuple(stored))
 
     def _write_file(self, path: Path, table: Table, row_indices: np.ndarray) -> int:

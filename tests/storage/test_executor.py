@@ -5,11 +5,13 @@ from __future__ import annotations
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
-from repro.layouts import RangeLayoutBuilder, RoundRobinLayout, ZoneMapIndex
-from repro.queries import Query, between, eq
-from repro.storage import PartitionStore, QueryExecutor
+from repro.layouts import RangeLayout, RangeLayoutBuilder, RoundRobinLayout, ZoneMapIndex
+from repro.queries import Comparison, Query, between, eq
+from repro.queries.predicates import Not
+from repro.storage import ColumnSpec, PartitionStore, QueryExecutor, Schema, Table
 
 
 @pytest.fixture
@@ -178,3 +180,55 @@ class TestCompiledPlanCache:
                 stored_range, [Query(predicate=between("x", float(i), float(i) + 0.5))]
             )
         assert len(executor._compiled) <= QueryExecutor.COMPILED_CACHE_CAP
+
+
+class TestNaNSoundness:
+    """A NaN in a partition must never let pruning skip matching rows.
+
+    ``min``/``max`` of a column holding a NaN are NaN, and every comparison
+    against NaN is False: stats recorded from them would prune the first
+    partition below for ``x < 5`` although three of its rows match.  Such a
+    partition records no stats for the column instead.
+    """
+
+    PREDICATES = (
+        Comparison("x", "<", 5.0),
+        between("x", 0.0, 5.0),
+        Comparison("x", "==", 2.0),
+        Comparison("x", "!=", 2.0),
+        Not(Comparison("x", "<", 5.0)),
+    )
+
+    @pytest.fixture
+    def table(self):
+        schema = Schema(columns=(ColumnSpec("k", "numeric"), ColumnSpec("x", "numeric")))
+        return Table(
+            schema,
+            {
+                "k": np.arange(8, dtype=np.int64),
+                "x": np.array([1.0, 2.0, np.nan, 3.0, 10.0, 11.0, 12.0, 13.0]),
+            },
+        )
+
+    @pytest.fixture
+    def stored(self, executor, table):
+        return executor.store.materialize(table, RangeLayout("k", np.array([3.5])))
+
+    def test_execute_finds_every_row(self, executor, stored, table):
+        for predicate in self.PREDICATES:
+            truth = int(predicate.evaluate(table.columns).sum())
+            assert executor.execute(stored, Query(predicate)).rows_matched == truth, predicate
+
+    def test_execute_batch_finds_every_row(self, executor, stored, table):
+        queries = [Query(predicate) for predicate in self.PREDICATES]
+        for query, result in zip(queries, executor.execute_batch(stored, queries), strict=True):
+            truth = int(query.predicate.evaluate(table.columns).sum())
+            assert result.rows_matched == truth, query.predicate
+
+    def test_scalar_oracle_keeps_every_matching_partition(self, stored, table):
+        assignment = stored.layout.assign(table)
+        for predicate in self.PREDICATES:
+            relevant = [p.partition_id for p in stored.metadata.relevant_partitions(predicate)]
+            matches = predicate.evaluate(table.columns)
+            kept = int(matches[np.isin(assignment, relevant)].sum())
+            assert kept == int(matches.sum()), predicate
